@@ -62,9 +62,8 @@ let trip_count t k =
   let lo, hi = t.bbox.(k) in
   hi - lo + 1
 
-(* Fast exact P'-application: P' = Q / den with integer Q. *)
-let global_applier (tiling : Tiling.t) =
-  let n = tiling.n in
+(* P' = Q / den with integer Q and den > 0. *)
+let scaled_p' (tiling : Tiling.t) =
   let den =
     Array.fold_left
       (fun acc row ->
@@ -73,9 +72,12 @@ let global_applier (tiling : Tiling.t) =
           acc row)
       1 tiling.p'
   in
-  let q =
-    Array.map (Array.map (fun x -> Rat.num x * (den / Rat.den x))) tiling.p'
-  in
+  (den, Array.map (Array.map (fun x -> Rat.num x * (den / Rat.den x))) tiling.p')
+
+(* Fast exact P'-application. *)
+let global_applier (tiling : Tiling.t) =
+  let n = tiling.n in
+  let den, q = scaled_p' tiling in
   fun (scaled : int array) (dst : int array) ->
     for i = 0 to n - 1 do
       let acc = ref 0 in
@@ -103,39 +105,6 @@ let iter_slab_points t ~tile ~lo f =
 let iter_tile_points t ~tile f =
   iter_slab_points t ~tile ~lo:(Array.make t.tiling.Tiling.n 0) f
 
-let is_interior t tile =
-  let module Constr = Tiles_poly.Constr in
-  let tiling = t.tiling in
-  let n = tiling.Tiling.n in
-  let vertex eps =
-    (* P·(j^S + ε) with exact rationals *)
-    let s = Array.init n (fun k -> Rat.of_int (tile.(k) + eps.(k))) in
-    Tiles_linalg.Ratmat.apply tiling.Tiling.p s
-  in
-  let holds_at x c =
-    let acc = ref (Rat.of_int (Constr.const c)) in
-    for i = 0 to n - 1 do
-      acc := Rat.add !acc (Rat.mul (Rat.of_int (Constr.coeff c i)) x.(i))
-    done;
-    Rat.sign !acc >= 0
-  in
-  let cs = Polyhedron.constraints t.space in
-  let eps = Array.make n 0 in
-  let rec all_vertices k =
-    if k = n then
-      let x = vertex eps in
-      List.for_all (holds_at x) cs
-    else begin
-      eps.(k) <- 0;
-      let a = all_vertices (k + 1) in
-      eps.(k) <- 1;
-      let b = a && all_vertices (k + 1) in
-      eps.(k) <- 0;
-      b
-    end
-  in
-  all_vertices 0
-
 let tile_iterations t tile =
   let n = ref 0 in
   iter_tile_points t ~tile (fun ~local:_ ~global:_ -> incr n);
@@ -146,49 +115,86 @@ let tile_iterations t tile =
    The space constraints pull back to affine constraints over j': for a
    space constraint a·j + b >= 0 and j = P'(V·s + j') = Q(V·s + j')/den,
    the constraint becomes (a·Q)·j' + [(a·Q)·(V·s) + b·den] >= 0 — only the
-   constant depends on the tile. We join these with the box/slab bounds,
-   project with Fourier–Motzkin, and enumerate only the outer n-1
+   constant depends on the tile. A pulled constraint whose minimum over
+   the slab box [max 0 lo_k, v_k − 1] is non-negative removes no point of
+   the box, so only the {e active} ones — those failing somewhere in the
+   box — clip the slab, and the count depends on the tile only through
+   their constants. A tile with no active constraint is interior: every
+   TTIS point of the slab is an iteration. *)
+type pullback = {
+  w : int array array;  (* a_i·Q per space constraint *)
+  bden : int array;  (* b_i·den *)
+  boxmin : int array;  (* min of w_i·j' over the slab box *)
+  blo : int array;  (* the slab box [blo, bhi] *)
+  bhi : int array;
+}
+
+let pullback t ~lo =
+  let tiling = t.tiling in
+  let n = tiling.Tiling.n in
+  let den, q = scaled_p' tiling in
+  let cs = Array.of_list (Polyhedron.constraints t.space) in
+  let w =
+    Array.map
+      (fun c ->
+        Array.init n (fun k ->
+            let acc = ref 0 in
+            for i = 0 to n - 1 do
+              acc := !acc + (Constr.coeff c i * q.(i).(k))
+            done;
+            !acc))
+      cs
+  in
+  let blo = Array.init n (fun k -> max 0 lo.(k)) in
+  let bhi = Array.init n (fun k -> tiling.Tiling.v.(k) - 1) in
+  let boxmin =
+    Array.map
+      (fun wi ->
+        let acc = ref 0 in
+        for k = 0 to n - 1 do
+          acc := !acc + (wi.(k) * if wi.(k) > 0 then blo.(k) else bhi.(k))
+        done;
+        !acc)
+      w
+  in
+  { w; bden = Array.map (fun c -> Constr.const c * den) cs; boxmin; blo; bhi }
+
+(* The active constraints of [tile] as (index, tile constant) pairs, in
+   index order. *)
+let active pb (tiling : Tiling.t) tile =
+  let acc = ref [] in
+  for i = Array.length pb.w - 1 downto 0 do
+    let wi = pb.w.(i) in
+    let c = ref pb.bden.(i) in
+    for k = 0 to tiling.n - 1 do
+      c := !c + (wi.(k) * tiling.v.(k) * tile.(k))
+    done;
+    if !c + pb.boxmin.(i) < 0 then acc := (i, !c) :: !acc
+  done;
+  !acc
+
+(* Lattice points of the slab box satisfying the given pulled constraints:
+   project with Fourier–Motzkin and enumerate only the outer n-1
    dimensions (stride-aligned); the innermost dimension contributes an
    arithmetic range count. Exact because the innermost level uses the
    original (unprojected) constraints. *)
-let count_clipped t ~tile ~lo =
+let count_clipped t pb act =
   let module FM = Tiles_poly.Fourier_motzkin in
   let module Lattice = Tiles_linalg.Lattice in
   let module Ints = Tiles_util.Ints in
   let tiling = t.tiling in
   let n = tiling.Tiling.n in
-  let den =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc x -> Ints.lcm acc (Rat.den x)) acc row)
-      1 tiling.Tiling.p'
-  in
-  let q =
-    Array.map (Array.map (fun x -> Rat.num x * (den / Rat.den x))) tiling.Tiling.p'
-  in
-  let vs = Array.init n (fun k -> tiling.Tiling.v.(k) * tile.(k)) in
-  let pullback c =
-    let a = Array.init n (Constr.coeff c) in
-    let w =
-      Array.init n (fun k ->
-          let acc = ref 0 in
-          for i = 0 to n - 1 do
-            acc := !acc + (a.(i) * q.(i).(k))
-          done;
-          !acc)
-    in
-    let const = Tiles_util.Vec.dot w vs + (Constr.const c * den) in
-    Constr.make ~coeffs:w ~const
-  in
   let box =
     List.concat
       (List.init n (fun k ->
            [
-             Constr.lower_bound_var n k (max 0 lo.(k));
-             Constr.upper_bound_var n k (tiling.Tiling.v.(k) - 1);
+             Constr.lower_bound_var n k pb.blo.(k);
+             Constr.upper_bound_var n k pb.bhi.(k);
            ]))
   in
-  let sys = List.map pullback (Polyhedron.constraints t.space) @ box in
+  let sys =
+    List.map (fun (i, const) -> Constr.make ~coeffs:pb.w.(i) ~const) act @ box
+  in
   let proj = FM.project sys ~dim:n in
   let j' = Array.make n 0 in
   let rec go k acc =
@@ -214,5 +220,24 @@ let count_clipped t ~tile ~lo =
   go 0 0
 
 let slab_points t ~tile ~lo =
-  if is_interior t tile then Ttis.count_from t.tiling ~lo
-  else count_clipped t ~tile ~lo
+  let pb = pullback t ~lo in
+  match active pb t.tiling tile with
+  | [] -> Ttis.count_from t.tiling ~lo
+  | act -> count_clipped t pb act
+
+let slab_counter t ~lo =
+  let pb = pullback t ~lo in
+  let interior = Ttis.count_from t.tiling ~lo in
+  let memo = Hashtbl.create 64 and lock = Mutex.create () in
+  fun tile ->
+    match active pb t.tiling tile with
+    | [] -> interior
+    | act -> (
+      match Mutex.protect lock (fun () -> Hashtbl.find_opt memo act) with
+      | Some count -> count
+      | None ->
+        (* counted outside the lock: a racing domain computes the same
+           value, so the later [replace] is harmless *)
+        let count = count_clipped t pb act in
+        Mutex.protect lock (fun () -> Hashtbl.replace memo act count);
+        count)

@@ -33,12 +33,6 @@ val tile_iterations : t -> Tiles_util.Vec.t -> int
 (** Exact number of iterations [j ∈ J^n] inside a given tile (enumerates
     the TTIS and clips against [J^n]). *)
 
-val is_interior : t -> Tiles_util.Vec.t -> bool
-(** True iff the tile's closed parallelepiped hull (vertices
-    [P·(j^S + ε)], [ε ∈ {0,1}^n], exact rational arithmetic) lies inside
-    [J^n] — then every TTIS lattice point is an iteration and the tile
-    contributes exactly [Tiling.tile_size] points without enumeration. *)
-
 val iter_tile_points :
   t -> tile:Tiles_util.Vec.t -> (local:Tiles_util.Vec.t -> global:Tiles_util.Vec.t -> unit) -> unit
 (** Enumerate the iterations of one tile: for each TTIS point [j'] whose
@@ -58,5 +52,20 @@ val iter_slab_points :
     non-rectangular variants move exactly the same data. *)
 
 val slab_points : t -> tile:Tiles_util.Vec.t -> lo:int array -> int
-(** Number of points {!iter_slab_points} would visit; interior tiles
-    short-circuit to the unclipped lattice count. *)
+(** Number of points {!iter_slab_points} would visit, without enumerating
+    them. The space constraints are pulled back onto TTIS coordinates,
+    where only their constants depend on the tile; a constraint is
+    {e active} when it fails somewhere in the slab box
+    [[max 0 lo_k, v_kk − 1]] (an exact integer test). With no active
+    constraint the tile is interior and the count is the unclipped
+    {!Ttis.count_from}; otherwise the active constraints are projected
+    with Fourier–Motzkin and counted row by row. *)
+
+val slab_counter : t -> lo:int array -> Tiles_util.Vec.t -> int
+(** [slab_counter t ~lo] is [fun tile -> slab_points t ~tile ~lo], with
+    the tile-independent work done once: the pullback, the interior
+    count, and a memo of the clipped counts keyed by the active
+    constraints' (index, constant) pairs — tiles clipped by the same
+    faces at the same offsets share one count. Build it once per slab
+    origin and share it; it is safe to call from several domains at
+    once (the memo is guarded by a mutex). *)

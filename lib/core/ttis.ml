@@ -95,10 +95,31 @@ let iter_from (t : Tiling.t) ~lo f =
   in
   go 0
 
-let count_from t ~lo =
-  let n = ref 0 in
-  iter_from t ~lo (fun _ -> incr n);
-  !n
+(* [iter_from]'s walk with the innermost level counted, not visited *)
+let count_from (t : Tiling.t) ~lo =
+  let n = t.n in
+  if Array.length lo <> n then invalid_arg "Ttis.count_from: dimension";
+  let j' = Array.make n 0 in
+  let rec go k acc =
+    let residue = Lattice.first_in_residue t.lattice k j' in
+    let lb = max 0 lo.(k) in
+    let start =
+      residue + (t.c.(k) * Tiles_util.Ints.cdiv (lb - residue) t.c.(k))
+    in
+    if start >= t.v.(k) then acc
+    else if k = n - 1 then acc + ((t.v.(k) - 1 - start) / t.c.(k)) + 1
+    else begin
+      let acc = ref acc in
+      let x = ref start in
+      while !x < t.v.(k) do
+        j'.(k) <- !x;
+        acc := go (k + 1) !acc;
+        x := !x + t.c.(k)
+      done;
+      !acc
+    end
+  in
+  go 0 0
 
 let iter_bruteforce (t : Tiling.t) f =
   let n = t.n in

@@ -94,7 +94,25 @@ let fold_points p ~init ~f =
   iter_points p (fun x -> acc := f !acc x);
   !acc
 
-let count_points p = fold_points p ~init:0 ~f:(fun n _ -> n + 1)
+(* Row arithmetic: walk the outer levels and add each innermost range's
+   length. Exact because the innermost level of the chain is the original
+   (unprojected) system, so every value of the range is a point. *)
+let count_points p =
+  let pr = projection p in
+  let x = Array.make p.dim 0 in
+  let rec go k acc =
+    match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
+    | None -> acc
+    | Some (lo, hi) when k = p.dim - 1 -> acc + (hi - lo + 1)
+    | Some (lo, hi) ->
+      let acc = ref acc in
+      for v = lo to hi do
+        x.(k) <- v;
+        acc := go (k + 1) !acc
+      done;
+      !acc
+  in
+  go 0 0
 
 let points p =
   List.rev (fold_points p ~init:[] ~f:(fun acc x -> Vec.copy x :: acc))

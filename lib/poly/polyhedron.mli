@@ -33,6 +33,10 @@ val iter_points : t -> (Tiles_util.Vec.t -> unit) -> unit
 
 val fold_points : t -> init:'a -> f:('a -> Tiles_util.Vec.t -> 'a) -> 'a
 val count_points : t -> int
+(** Number of integer points, without visiting them: the outer levels of
+    the projection chain are walked and each innermost row adds its
+    length. *)
+
 val points : t -> Tiles_util.Vec.t list
 (** Materialised (copied) points, lexicographic order. *)
 

@@ -19,8 +19,9 @@
       {!Seq_exec}. Never-written LDS cells are NaN and reads assert
       non-NaN, so protocol bugs surface immediately.
     - [Timing]: skips data movement and arithmetic but charges the exact
-      same virtual-time costs (interior tiles short-circuit to the full
-      tile point count). Used by the benchmark harness; a test checks the
+      same virtual-time costs (tile and slab sizes come from
+      {!Tiles_core.Tile_space.slab_counter}, which counts without
+      enumerating points). Used by the benchmark harness; a test checks the
       two modes report identical virtual completion times. *)
 
 type mode = Full | Timing

@@ -40,6 +40,13 @@ let () =
     | Slab_mismatch m -> Some (slab_mismatch_to_string m)
     | _ -> None)
 
+type direction = {
+  dm : Vec.t;
+  dss : Vec.t list;  (* descending d^S_m, so receives match channel order *)
+  slab_lo : int array;
+  cells : Vec.t -> int;  (* the slab's clipped point count, per tile *)
+}
+
 type shared = {
   plan : Plan.t;
   kernel : Kernel.t;
@@ -50,14 +57,10 @@ type shared = {
   flop_time : float;
   pack_time : float;
   grid : Grid.t option;
+  tile_points : Vec.t -> int;
+  directions : direction list;
   points_per_rank : int array;
   tiles_per_rank : int array;
-}
-
-type direction = {
-  dm : Vec.t;
-  dss : Vec.t list;  (* descending d^S_m, so receives match channel order *)
-  slab_lo : int array;
 }
 
 let build_directions (plan : Plan.t) =
@@ -65,10 +68,12 @@ let build_directions (plan : Plan.t) =
   let m = comm.Comm.m in
   List.map
     (fun (dm, dss) ->
+      let slab_lo = Comm.slab_lo comm ~dm in
       {
         dm;
         dss = List.sort (fun a b -> compare b.(m) a.(m)) dss;
-        slab_lo = Comm.slab_lo comm ~dm;
+        slab_lo;
+        cells = Tile_space.slab_counter plan.Plan.tspace ~lo:slab_lo;
       })
     (comm.Comm.dm : (Vec.t * Vec.t list) list)
 
@@ -115,6 +120,8 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ?inner ~mode ~plan
     flop_time;
     pack_time;
     grid;
+    tile_points = Tile_space.slab_counter plan.Plan.tspace ~lo:(Array.make n 0);
+    directions = build_directions plan;
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
   }
@@ -123,11 +130,10 @@ let rank_program ?(overlap = false) shared comms rank =
   let plan = shared.plan and kernel = shared.kernel in
   let comm = plan.Plan.comm in
   let mapping = plan.Plan.mapping in
-  let tspace = plan.Plan.tspace in
   let n = plan.Plan.tiling.Tiling.n in
   let m = comm.Comm.m in
   let width = kernel.Kernel.width in
-  let directions = build_directions plan in
+  let directions = shared.directions in
   let pid = Mapping.pid_of_rank mapping rank in
   let tlo, thi = Mapping.chain mapping rank in
   let ntiles = thi - tlo + 1 in
@@ -144,7 +150,17 @@ let rank_program ?(overlap = false) shared comms rank =
     | Some w -> Fbuf.make (Walker.lds_total w * width) Float.nan
     | None -> Fbuf.create 0
   in
-  let zero_lo = Array.make n 0 in
+  (* Timing-mode payloads: views of one zero buffer, grown on demand —
+     nobody reads them, and the transport copies what it keeps *)
+  let zeros = ref (Fbuf.create 0) in
+  let payload len =
+    match walker with
+    | Some _ -> Fbuf.make len 0.
+    | None ->
+      if Fbuf.length !zeros < len then
+        zeros := Fbuf.make (max len (2 * Fbuf.length !zeros)) 0.;
+      Fbuf.sub !zeros 0 len
+  in
   let tile_buf = Array.make n 0 in
   let rank_of pid =
     match Mapping.rank_of_pid mapping pid with
@@ -211,8 +227,7 @@ let rank_program ?(overlap = false) shared comms rank =
     (* ---------------- COMPUTE ---------------- *)
     let points = ref 0 in
     (match walker with
-    | None ->
-      points := Tile_space.slab_points tspace ~tile:tile_buf ~lo:zero_lo
+    | None -> points := shared.tile_points tile_buf
     | Some w -> points := Walker.compute_tile w ~trel ~tile:tile_buf ~la);
     comms.compute (float_of_int !points *. shared.flop_time);
     shared.points_per_rank.(rank) <- shared.points_per_rank.(rank) + !points;
@@ -227,10 +242,8 @@ let rank_program ?(overlap = false) shared comms rank =
             dir.dss
         in
         if succ_exists then begin
-          let cells =
-            Tile_space.slab_points tspace ~tile:tile_buf ~lo:dir.slab_lo
-          in
-          let buf = Fbuf.make (cells * width) 0. in
+          let cells = dir.cells tile_buf in
+          let buf = payload (cells * width) in
           (match walker with
           | None -> ()
           | Some w ->

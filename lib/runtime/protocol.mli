@@ -51,6 +51,11 @@ exception Slab_mismatch of slab_mismatch
 
 val slab_mismatch_to_string : slab_mismatch -> string
 
+type direction
+(** One processor direction [d^m] of the plan's communication, with the
+    memoised clipped-slab counter ({!Tiles_core.Tile_space.slab_counter})
+    of its slab. *)
+
 type shared = {
   plan : Tiles_core.Plan.t;
   kernel : Kernel.t;
@@ -61,6 +66,11 @@ type shared = {
   flop_time : float;
   pack_time : float;
   grid : Grid.t option;  (** shared result mirror (disjoint writes) *)
+  tile_points : Tiles_util.Vec.t -> int;
+      (** the tile's clipped point count (the [Timing]-mode compute
+          charge), a {!Tiles_core.Tile_space.slab_counter} shared by all
+          ranks *)
+  directions : direction list;
   points_per_rank : int array;
   tiles_per_rank : int array;
 }
@@ -77,7 +87,10 @@ val prepare :
   unit ->
   shared
 (** Validates the kernel against the plan and allocates the shared
-    state. Raises [Invalid_argument] on mismatch.
+    state, including the slab counters every rank reads its compute
+    charge and send sizes from (built once per run; their memos are
+    shared by all ranks and safe across domains, while the [Plan.t]
+    stays immutable). Raises [Invalid_argument] on mismatch.
 
     [?walker] (default {!Walker.Fastpath}) selects the tile-execution
     engine; [?check] (default false) makes the fast walkers validate
@@ -91,7 +104,7 @@ val prepare :
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
 (** Execute one rank's whole tile chain (including the untimed LDS→DS
     write-back in [Full] mode). Thread-safe across ranks: all shared
-    writes are rank-disjoint.
+    writes are rank-disjoint, except the slab-count memos, which lock.
 
     With [~overlap:true] the rank runs the paper's §5 overlapped
     schedule: every receive a tile expects (per the minsucc pairing) is

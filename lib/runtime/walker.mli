@@ -13,7 +13,7 @@
     Enumeration happens row-wise: the space constraints are pulled back
     onto TTIS coordinates (tile-dependent constants only), projected
     with Fourier–Motzkin, and walked with residue-aligned strides
-    exactly like {!Tiles_core.Tile_space.count_clipped} — the innermost
+    exactly as {!Tiles_core.Tile_space.slab_points} counts them — the innermost
     level of the projection chain is the original system, so every
     aligned point of a row is a member and rows need no per-point
     membership test. The enumeration order is lexicographic ascending,

@@ -14,13 +14,11 @@
     that the simulator actually favours.
 
     {!refine} is the exact-volume pass run on the pruning shortlist: the
-    critical rank's compute is its {e actual} iteration count (summing
-    {!Tiles_core.Tile_space.tile_iterations} over the longest chain — an
-    oblique chain ends in thin boundary tiles, so [chain × tile_size]
-    overcharges exactly the shapes the simulator favours), and the
-    message count / volume are the protocol's own ({!Tiles_core.Plan.comm_stats},
-    boundary-clipped). Costlier — it enumerates boundary slabs — but still
-    far cheaper than a simulation.
+    message count and volume are the protocol's own
+    ({!Tiles_core.Plan.comm_stats}, boundary-clipped, one
+    {!Tiles_core.Tile_space.slab_points} count per message, no point
+    enumeration). Costlier than {!predict} but still far cheaper than a
+    simulation.
 
     The predictor exists to {e rank} candidates so the exact simulator
     only runs on a short shortlist; tests bound its error against the

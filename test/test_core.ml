@@ -267,6 +267,37 @@ let test_slab_points_fast_count () =
       ("oblique2d", Polyhedron.box [ (0, 9); (0, 11) ], oblique2d);
     ]
 
+let test_slab_counter_domains () =
+  (* two domains hammer the same memoised counters; every answer must be
+     the one-shot count, whichever domain filled the memo entry *)
+  let space = sor_space 6 9 and tiling = sor_nr 2 3 4 in
+  let ts = Tile_space.make space tiling in
+  let n = Tiling.dim tiling in
+  let los =
+    [ Array.make n 0; Array.init n (fun k -> tiling.Tiling.v.(k) / 2) ]
+  in
+  let cases =
+    List.map
+      (fun lo ->
+        ( Tile_space.slab_counter ts ~lo,
+          List.map
+            (fun s -> (s, Tile_space.slab_points ts ~tile:s ~lo))
+            (Tile_space.candidates ts) ))
+      los
+  in
+  let hammer order () =
+    List.for_all
+      (fun _ ->
+        List.for_all
+          (fun (count, expected) ->
+            List.for_all (fun (s, want) -> count s = want) (order expected))
+          cases)
+      (List.init 20 Fun.id)
+  in
+  let d1 = Domain.spawn (hammer Fun.id) and d2 = Domain.spawn (hammer List.rev) in
+  Alcotest.(check bool) "domain 1 agrees" true (Domain.join d1);
+  Alcotest.(check bool) "domain 2 agrees" true (Domain.join d2)
+
 let test_tile_points_lex_and_inside () =
   let space = adi_space 5 7 in
   let ts = Tile_space.make space (adi_nr3 3 2 4) in
@@ -616,6 +647,7 @@ let () =
           Alcotest.test_case "partition adi" `Quick test_partition_adi;
           Alcotest.test_case "partition oblique2d" `Quick test_partition_oblique2d;
           Alcotest.test_case "slab fast count" `Quick test_slab_points_fast_count;
+          Alcotest.test_case "slab counter across domains" `Quick test_slab_counter_domains;
           Alcotest.test_case "tile points lex+inside" `Quick test_tile_points_lex_and_inside;
         ] );
       ( "mapping",

@@ -8,6 +8,8 @@ module Dependence = Tiles_loop.Dependence
 module Tiling = Tiles_core.Tiling
 module Ttis = Tiles_core.Ttis
 module Tile_space = Tiles_core.Tile_space
+module Comm = Tiles_core.Comm
+module Constr = Tiles_poly.Constr
 module Plan = Tiles_core.Plan
 module Kernel = Tiles_runtime.Kernel
 module Grid = Tiles_runtime.Grid
@@ -106,28 +108,115 @@ let prop_partition n =
         in
         total = Polyhedron.count_points space)
 
+(* the one-shot count and the memoised counter both equal enumeration,
+   for every candidate tile and slab origin: zero, the box middle, and
+   every slab origin of the plan's communication when the random
+   dependences admit one; tiles are visited in shuffled order, twice, so
+   memo hits are checked too *)
 let prop_slab_count_fast n =
   QCheck.Test.make
     ~name:(Printf.sprintf "fast slab count = enumeration (n=%d)" n)
     ~count:25
-    (QCheck.pair (arb_tiling n)
-       (QCheck.make QCheck.Gen.(list_repeat n (int_range 3 9))))
-    (fun (t, extents) ->
+    (QCheck.triple (arb_tiling n)
+       (QCheck.make QCheck.Gen.(list_repeat n (int_range 3 9)))
+       (QCheck.make
+          QCheck.Gen.(
+            pair
+              (list_size (int_range 1 3) (array_size (return n) (int_range 0 1)))
+              int)))
+    (fun (t, extents, (vecs, seed)) ->
       match t with
       | None -> QCheck.assume_fail ()
       | Some t ->
         let space = Polyhedron.box (List.map (fun e -> (0, e)) extents) in
         let ts = Tile_space.make space t in
+        (* the random dependences this tiling is legal for, and the slab
+           origins of every mapping dimension Comm accepts them on *)
+        let legal d =
+          (not (Vec.is_zero d)) && Tiling.legal_for t (Dependence.of_vectors [ d ])
+        in
+        let comm_los =
+          match List.filter legal vecs with
+          | [] -> []
+          | ds ->
+            List.concat_map
+              (fun m ->
+                match Comm.make t (Dependence.of_vectors ds) ~m with
+                | comm ->
+                  List.map (fun (dm, _) -> Comm.slab_lo comm ~dm) comm.Comm.dm
+                | exception (Invalid_argument _ | Failure _) -> [])
+              (List.init n Fun.id)
+        in
+        let los =
+          Array.make n 0
+          :: Array.init n (fun k -> t.Tiling.v.(k) / 2)
+          :: comm_los
+        in
+        let rng = Random.State.make [| seed |] in
+        let tiles = Array.of_list (Tile_space.candidates ts) in
+        let shuffled () =
+          let a = Array.copy tiles in
+          for i = Array.length a - 1 downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let x = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- x
+          done;
+          Array.to_list a
+        in
         List.for_all
-          (fun s ->
-            let lo =
-              Array.init (Tiling.dim t) (fun k -> t.Tiling.v.(k) / 2)
-            in
-            let brute = ref 0 in
-            Tile_space.iter_slab_points ts ~tile:s ~lo
-              (fun ~local:_ ~global:_ -> incr brute);
-            !brute = Tile_space.slab_points ts ~tile:s ~lo)
-          (Tile_space.candidates ts))
+          (fun lo ->
+            let counter = Tile_space.slab_counter ts ~lo in
+            List.for_all
+              (fun s ->
+                let brute = ref 0 in
+                Tile_space.iter_slab_points ts ~tile:s ~lo
+                  (fun ~local:_ ~global:_ -> incr brute);
+                !brute = Tile_space.slab_points ts ~tile:s ~lo
+                && !brute = counter s)
+              (shuffled () @ shuffled ()))
+          los)
+
+(* row-arithmetic counting = enumeration = brute force over the box, on
+   random polyhedra of dimension 1–3: a box (empty when some lo > hi)
+   cut by up to two random half-spaces *)
+let prop_count_points =
+  QCheck.Test.make ~name:"count_points = enumeration" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         let* n = int_range 1 3 in
+         let* ranges =
+           list_repeat n
+             (let* l = int_range (-4) 4 in
+              let* w = int_range (-1) 6 in
+              return (l, l + w))
+         in
+         let* cuts =
+           list_size (int_range 0 2)
+             (pair (array_size (return n) (int_range (-3) 3)) (int_range (-6) 12))
+         in
+         return (ranges, cuts)))
+    (fun (ranges, cuts) ->
+      let n = List.length ranges in
+      let p =
+        List.fold_left
+          (fun p (coeffs, const) -> Polyhedron.add p (Constr.make ~coeffs ~const))
+          (Polyhedron.box ranges) cuts
+      in
+      let brute = ref 0 in
+      let x = Array.make n 0 in
+      let rec go k = function
+        | [] -> if Polyhedron.member p x then incr brute
+        | (l, u) :: rest ->
+          for v = l to u do
+            x.(k) <- v;
+            go (k + 1) rest
+          done
+      in
+      go 0 ranges;
+      let count = Polyhedron.count_points p in
+      count = Polyhedron.fold_points p ~init:0 ~f:(fun c _ -> c + 1)
+      && count = !brute)
 
 (* ---------- random dependence sets + loc roundtrip ---------- *)
 
@@ -286,6 +375,7 @@ let () =
           q (prop_partition 2); q (prop_partition 3);
           q (prop_slab_count_fast 2); q (prop_slab_count_fast 3);
         ] );
+      ("polyhedron", [ q prop_count_points ]);
       ("plan", [ q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3) ]);
       ( "executor",
         [
