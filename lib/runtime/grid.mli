@@ -33,7 +33,7 @@ val strides : t -> int array
     in: moving by 1 in the last dimension moves [width t] slots). *)
 
 val data : t -> Tiles_util.Fbuf.t
-(** The raw backing store. Raw access is for strength-reduced walkers
+(** The raw backing store. Raw access is for the fast walkers
     that have validated their index arithmetic against [index]; everyone
     else should go through [get]/[set]. *)
 

@@ -137,41 +137,31 @@ let load_path so =
           Ok fn
         | exception Failure msg -> Error ("dlopen: " ^ msg)))
 
-(* Render the source and its content address. The digest covers source
-   (which bakes in the inner subtile shape — see Rowgen), compiler and
-   flags: any of them changing must miss the cache, not load a stale
-   object. *)
-let source_and_path ?inner ~plan ~kernel () =
+let build ~plan ~kernel () =
   match kernel.Kernel.ckernel with
   | None ->
     Error (Printf.sprintf "kernel %s has no C body" kernel.Kernel.name)
   | Some ck ->
-    let src =
-      Rowgen.generate ?inner ~plan ~kernel:ck ~skew:kernel.Kernel.skew
-        ~reads:kernel.Kernel.reads ~uses_j:kernel.Kernel.uses_j ()
-    in
-    let so =
-      Filename.concat (default_cache_dir ())
-        (Digest.to_hex
-           (Digest.string (cc_command () ^ "\x00" ^ compile_flags
-                           ^ "\x00" ^ src))
-        ^ ".so")
-    in
-    Ok (src, so)
-
-let object_path ?inner ~plan ~kernel () =
-  Result.map snd (source_and_path ?inner ~plan ~kernel ())
-
-let build ?inner ~plan ~kernel () =
-  match source_and_path ?inner ~plan ~kernel () with
-  | Error e -> Error e
-  | Ok (src, so) ->
     if not (available ()) then Error "no C compiler available"
     else begin
-      match mkdir_p (Filename.dirname so) with
+      let src =
+        Rowgen.generate ~plan ~kernel:ck ~skew:kernel.Kernel.skew
+          ~reads:kernel.Kernel.reads ~uses_j:kernel.Kernel.uses_j ()
+      in
+      let dir = default_cache_dir () in
+      match mkdir_p dir with
       | exception Unix.Unix_error (e, _, _) ->
         Error ("cache dir: " ^ Unix.error_message e)
       | () ->
+        (* the address covers source, compiler and flags: any of them
+           changing must miss the cache, not load a stale object *)
+        let so =
+          Filename.concat dir
+            (Digest.to_hex
+               (Digest.string (cc_command () ^ "\x00" ^ compile_flags
+                               ^ "\x00" ^ src))
+            ^ ".so")
+        in
         let compiled =
           if Sys.file_exists so then Ok () else compile_to src so
         in

@@ -19,11 +19,11 @@ falls back to the merge base with origin/main, then to HEAD^.
 import subprocess
 import sys
 
-# Files that define LDS cell addressing or row execution — including
-# the two-level subtile decomposition (walker.ml) and how the subtile
-# shape is baked into generated row kernels (rowgen.ml, native_kernel.ml)
-# and threaded into rank programs (protocol.ml, executor entry points).
-# A change to any of these invalidates the committed perf artifacts.
+# Files that define LDS cell addressing or row execution — the walker,
+# the generated and compiled row kernels (rowgen.ml, native_kernel.ml),
+# the sequential walk and the rank programs and executors that drive
+# them. A change to any of these invalidates the committed perf
+# artifacts.
 WATCHED = {
     "lib/runtime/walker.ml",
     "lib/runtime/kernel.ml",

@@ -382,9 +382,24 @@ let baseline_of ~completions ?messages ?bytes () =
 
 let test_runmeta_roundtrip () =
   let m = meta () in
-  match Runmeta.of_json (Runmeta.to_json m) with
+  (match Runmeta.of_json (Runmeta.to_json m) with
   | Ok m' -> Alcotest.(check bool) "roundtrip" true (m = m')
-  | Error e -> Alcotest.failf "runmeta did not round-trip: %s" e
+  | Error e -> Alcotest.failf "runmeta did not round-trip: %s" e);
+  (* a 1.4 artifact from an inner-blocked run (a baseline or an
+     analyze --from archive) still loads; its "inner" member is ignored *)
+  match Runmeta.to_json m with
+  | Json.Obj fields -> (
+    Alcotest.(check bool) "schema 1.4" true
+      (List.assoc_opt "tilec_version" fields = Some (Json.Str "1.4"));
+    let blocked =
+      Json.Obj
+        (fields
+        @ [ ("inner", Json.List [ Json.Int 3; Json.Int 4; Json.Int 4 ]) ])
+    in
+    match Runmeta.of_json blocked with
+    | Ok m' -> Alcotest.(check bool) "inner member ignored" true (m = m')
+    | Error e -> Alcotest.failf "1.4 meta with inner did not parse: %s" e)
+  | _ -> Alcotest.fail "runmeta json is not an object"
 
 (* the serve fields follow the overlap bit's absent-default discipline:
    present values round-trip, defaults are omitted from the JSON so

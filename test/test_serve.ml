@@ -13,6 +13,7 @@ module Server = Tiles_serve.Server
 module Metrics = Tiles_serve.Metrics
 module Span = Tiles_obs.Span
 module Netmodel = Tiles_mpisim.Netmodel
+module Walker = Tiles_runtime.Walker
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
@@ -101,7 +102,7 @@ let test_plan_cache_hits () =
   let r = resolved_exn ~app:"sor" () in
   let key =
     Plan_cache.key ~resolved:r ~net ~overlap:false ~backend:"sim"
-      ~walker:"fast" ~inner:None
+      ~walker:"fast"
   in
   let compiles = ref 0 in
   let compile () =
@@ -121,25 +122,21 @@ let test_plan_cache_hits () =
 
 let test_plan_cache_key_discriminates () =
   let r = resolved_exn ~app:"sor" () in
-  let k ?(inner = None) ~overlap ~backend ~walker () =
-    Plan_cache.key ~resolved:r ~net ~overlap ~backend ~walker ~inner
+  let k ~overlap ~backend ~walker =
+    Plan_cache.key ~resolved:r ~net ~overlap ~backend ~walker
   in
-  let base = k ~overlap:false ~backend:"sim" ~walker:"fast" () in
+  let base = k ~overlap:false ~backend:"sim" ~walker:"fast" in
   check_bool "overlap changes key" true
-    (base <> k ~overlap:true ~backend:"sim" ~walker:"fast" ());
+    (base <> k ~overlap:true ~backend:"sim" ~walker:"fast");
   check_bool "backend changes key" true
-    (base <> k ~overlap:false ~backend:"shm" ~walker:"fast" ());
+    (base <> k ~overlap:false ~backend:"shm" ~walker:"fast");
   check_bool "walker changes key" true
-    (base <> k ~overlap:false ~backend:"sim" ~walker:"reference" ());
-  check_bool "inner shape changes key" true
-    (base
-    <> k ~inner:(Some [| 2; 2; 2 |]) ~overlap:false ~backend:"sim"
-         ~walker:"fast" ());
+    (base <> k ~overlap:false ~backend:"sim" ~walker:"reference");
   let r2 = resolved_exn ~app:"jacobi" () in
   check_bool "app changes key" true
     (base
     <> Plan_cache.key ~resolved:r2 ~net ~overlap:false ~backend:"sim"
-         ~walker:"fast" ~inner:None)
+         ~walker:"fast")
 
 let test_plan_cache_eviction () =
   let c = Plan_cache.create ~capacity:2 in
@@ -187,12 +184,12 @@ let test_registry_errors () =
 (* ---------- Job ---------- *)
 
 let test_job_roundtrip () =
-  let line =
-    {|{"id":"j7","op":"execute","app":"jacobi","size1":10,"size2":14,
+  let fields =
+    {|"id":"j7","op":"execute","app":"jacobi","size1":10,"size2":14,
        "variant":"rect","tile":[2,3,4],"backend":"shm","overlap":true,
-       "walker":"strength","priority":2.5,"procs":8,"factors":[2,4]}|}
+       "walker":"native","priority":2.5,"procs":8,"factors":[2,4]|}
   in
-  let j =
+  let parse line =
     match Json.parse line with
     | Ok v -> (
       match Job.of_json v with
@@ -200,11 +197,17 @@ let test_job_roundtrip () =
       | Error e -> Alcotest.failf "of_json: %s" e)
     | Error e -> Alcotest.failf "parse: %s" e
   in
+  let j = parse ("{" ^ fields ^ "}") in
   check_str "id" "j7" j.Job.id;
   check_bool "op" true (j.Job.op = Job.Execute);
   check_str "backend" "shm" j.Job.backend;
   check_bool "overlap" true j.Job.overlap;
+  check_bool "walker" true (j.Job.walker = Walker.Native);
   Alcotest.(check (float 0.0)) "priority" 2.5 j.Job.priority;
+  (* clients written for the removed inner subtile field still parse:
+     "inner" is ignored like any other unknown member *)
+  check_bool "inner member ignored" true
+    (parse ("{" ^ fields ^ {|,"inner":[3,4,4]}|}) = j);
   (* to_json parses back to the same record *)
   match Job.of_json (Job.to_json j) with
   | Ok j2 -> check_bool "roundtrip" true (j = j2)
@@ -225,7 +228,16 @@ let test_job_rejects_garbage () =
   bad {|{"op":"plan","app":"sor","walker":"turbo"}|};
   bad {|{"op":"plan","app":"sor","tile":[1,2]}|};
   (* shm makes sense only where real data flows *)
-  bad {|{"op":"simulate","app":"sor","backend":"shm"}|}
+  bad {|{"op":"simulate","app":"sor","backend":"shm"}|};
+  (* the removed strength walker is a structured unknown-walker error *)
+  match Json.parse {|{"op":"plan","app":"sor","walker":"strength"}|} with
+  | Error e -> Alcotest.failf "parse: %s" e
+  | Ok v -> (
+    match Job.of_json v with
+    | Ok _ -> Alcotest.fail "accepted the strength walker"
+    | Error e ->
+      check_bool "unknown walker error" true
+        (Astring.String.is_infix ~affix:"unknown walker" e))
 
 (* ---------- Server: stepped, deterministic ---------- *)
 
