@@ -73,46 +73,46 @@ let projection p =
     p.proj <- Some pr;
     pr
 
-let iter_points p f =
+(* The one row enumerator: walk the outer levels of the projection chain
+   and hand each innermost range to [f] whole. Every value of that range
+   is a point, because the innermost level of the chain is the original
+   (unprojected) system. *)
+let iter_rows p f =
   let pr = projection p in
+  let last = p.dim - 1 in
   let x = Array.make p.dim 0 in
   let rec go k =
-    if k = p.dim then f x
-    else
-      match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
-      | None -> ()
-      | Some (lo, hi) ->
-        for v = lo to hi do
-          x.(k) <- v;
-          go (k + 1)
-        done
+    match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
+    | None -> ()
+    | Some (lo, hi) when k = last ->
+      x.(k) <- lo;
+      f x (hi - lo + 1)
+    | Some (lo, hi) ->
+      for v = lo to hi do
+        x.(k) <- v;
+        go (k + 1)
+      done
   in
   go 0
+
+let iter_points p f =
+  let last = p.dim - 1 in
+  iter_rows p (fun x len ->
+      let lo = x.(last) in
+      for v = lo to lo + len - 1 do
+        x.(last) <- v;
+        f x
+      done)
 
 let fold_points p ~init ~f =
   let acc = ref init in
   iter_points p (fun x -> acc := f !acc x);
   !acc
 
-(* Row arithmetic: walk the outer levels and add each innermost range's
-   length. Exact because the innermost level of the chain is the original
-   (unprojected) system, so every value of the range is a point. *)
 let count_points p =
-  let pr = projection p in
-  let x = Array.make p.dim 0 in
-  let rec go k acc =
-    match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
-    | None -> acc
-    | Some (lo, hi) when k = p.dim - 1 -> acc + (hi - lo + 1)
-    | Some (lo, hi) ->
-      let acc = ref acc in
-      for v = lo to hi do
-        x.(k) <- v;
-        acc := go (k + 1) !acc
-      done;
-      !acc
-  in
-  go 0 0
+  let acc = ref 0 in
+  iter_rows p (fun _ len -> acc := !acc + len);
+  !acc
 
 let points p =
   List.rev (fold_points p ~init:[] ~f:(fun acc x -> Vec.copy x :: acc))

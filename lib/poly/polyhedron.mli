@@ -26,16 +26,25 @@ val bounding_box : t -> (int * int) array
 val projection : t -> Fourier_motzkin.projection
 (** Cached projection chain for loop-style enumeration. *)
 
+val iter_rows : t -> (Tiles_util.Vec.t -> int -> unit) -> unit
+(** [iter_rows p f] calls [f x len] once per innermost row, in
+    lexicographic order: the row holds the [len >= 1] points
+    [x], [x + e_(n-1)], …, [x + (len-1)·e_(n-1)], all of them in [p].
+    Rows come from the outer levels of the cached {!projection}; the
+    innermost range needs no membership test, because the innermost level
+    of the chain is the original (unprojected) system. [x] is a buffer
+    reused between calls: [f] may overwrite its last coordinate but must
+    leave the others alone, and must copy it to keep it. *)
+
 val iter_points : t -> (Tiles_util.Vec.t -> unit) -> unit
-(** Enumerate all integer points in lexicographic order. The callback
-    receives a buffer that is reused between calls; copy it if you keep
-    it. *)
+(** Enumerate all integer points in lexicographic order, by expanding
+    {!iter_rows}. The callback receives a buffer that is reused between
+    calls; copy it if you keep it. *)
 
 val fold_points : t -> init:'a -> f:('a -> Tiles_util.Vec.t -> 'a) -> 'a
 val count_points : t -> int
-(** Number of integer points, without visiting them: the outer levels of
-    the projection chain are walked and each innermost row adds its
-    length. *)
+(** Number of integer points, without visiting them: the sum of the
+    {!iter_rows} lengths. *)
 
 val points : t -> Tiles_util.Vec.t list
 (** Materialised (copied) points, lexicographic order. *)

@@ -1,5 +1,6 @@
 module Polyhedron = Tiles_poly.Polyhedron
 module Fbuf = Tiles_util.Fbuf
+module A1 = Bigarray.Array1
 
 type t = {
   width : int;
@@ -64,12 +65,35 @@ let load_boxed t a =
          (Array.length a) (Fbuf.length t.data));
   Array.iteri (fun i v -> Fbuf.set t.data i v) a
 
+(* Row-wise scans: a row of the space is a contiguous slot range of every
+   grid (the last dimension has stride [width]), so [index] at the row's
+   two end points bounds-checks the whole range and the slots in between
+   are read in the same point-major, field-minor order a per-point walk
+   would visit them. *)
+let iter_row_slots grids space f =
+  let n = Polyhedron.dim space in
+  let jend = Array.make n 0 in
+  Polyhedron.iter_rows space (fun j len ->
+      Array.blit j 0 jend 0 n;
+      jend.(n - 1) <- j.(n - 1) + len - 1;
+      let starts =
+        Array.map
+          (fun g ->
+            let s = index g j 0 in
+            ignore (index g jend (g.width - 1));
+            s)
+          grids
+      in
+      f starts (len * grids.(0).width))
+
 let max_abs_diff a b space =
   if a.width <> b.width then invalid_arg "Grid.max_abs_diff: widths differ";
   let worst = ref 0. in
-  Polyhedron.iter_points space (fun j ->
-      for f = 0 to a.width - 1 do
-        let x = get a j f and y = get b j f in
+  iter_row_slots [| a; b |] space (fun starts slots ->
+      let ia = starts.(0) and ib = starts.(1) in
+      for i = 0 to slots - 1 do
+        let x = A1.unsafe_get a.data (ia + i)
+        and y = A1.unsafe_get b.data (ib + i) in
         let d =
           if Float.is_nan x || Float.is_nan y then infinity
           else Float.abs (x -. y)
@@ -85,9 +109,10 @@ let max_abs_diff a b space =
    same multiset of values. *)
 let checksum t space =
   let sum = ref 0. and comp = ref 0. in
-  Polyhedron.iter_points space (fun j ->
-      for f = 0 to t.width - 1 do
-        let x = get t j f in
+  iter_row_slots [| t |] space (fun starts slots ->
+      let i0 = starts.(0) in
+      for i = 0 to slots - 1 do
+        let x = A1.unsafe_get t.data (i0 + i) in
         let s = !sum +. x in
         if Float.abs !sum >= Float.abs x then
           comp := !comp +. ((!sum -. s) +. x)

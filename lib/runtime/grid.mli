@@ -51,7 +51,10 @@ val load_boxed : t -> float array -> unit
 
 val max_abs_diff : t -> t -> Tiles_poly.Polyhedron.t -> float
 (** Maximum absolute difference over the points of the given space (all
-    fields). NaN in either operand at a space point yields [infinity]. *)
+    fields). NaN in either operand at a space point yields [infinity];
+    cells of the bounding box outside the space are ignored. Scans each
+    row of {!Tiles_poly.Polyhedron.iter_rows} as one contiguous slot range
+    per grid, bounds-checked at both ends. *)
 
 val checksum : t -> Tiles_poly.Polyhedron.t -> float
 (** Sum of all field values over the space, using Neumaier compensated
@@ -59,4 +62,5 @@ val checksum : t -> Tiles_poly.Polyhedron.t -> float
     final rounding), so it does not depend on the order in which walker
     variants happened to write — or this function happens to visit — the
     cells; checksums of bit-identical grids compare equal across
-    variants and traversal orders. *)
+    variants and traversal orders. Visits the cells row by row like
+    {!max_abs_diff}, in lexicographic point order with fields innermost. *)

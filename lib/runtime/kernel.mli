@@ -8,7 +8,8 @@
 type row_body =
   la:Tiles_util.Fbuf.t -> dst:int -> taps:int array -> len:int -> unit
 (** An optional strength-reduced body for width-1 kernels, used by the
-    walker's innermost-contiguous fast path. [row ~la ~dst ~taps ~len]
+    walker's innermost-contiguous fast path and by the interior spans of
+    {!Seq_exec}'s rows. [row ~la ~dst ~taps ~len]
     must write [la.{dst + i} <- f (la.{dst + i + taps.(0)}, ...)] for
     [i = 0 .. len-1], where [taps.(r)] is the (negative) slot delta of
     read [r] relative to the destination cell. The float operations must

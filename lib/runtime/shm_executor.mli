@@ -40,6 +40,14 @@ type result = {
   wall_seconds : float;       (** parallel wall-clock time *)
   seq_wall_seconds : float;   (** sequential oracle wall-clock time *)
   wall_speedup : float;
+      (** [seq_wall_seconds / wall_seconds]. The baseline is the wall
+          time of {!Seq_exec.run}, the oracle itself, so the figure moves
+          with the oracle's speed, not only the parallel run's: the
+          row-interior oracle (several times faster than the per-point
+          guarded walk it replaced; see EXPERIMENTS.md, "Verified solves
+          at row speed") lowers every reported shm speedup — serve
+          [speedup], [tune --backend shm], [bench overlap] — by about its
+          own gain, with the parallel run unchanged. *)
   grid : Grid.t;              (** the parallel result *)
   max_abs_err : float;        (** vs the sequential oracle *)
   nprocs : int;

@@ -45,10 +45,6 @@ val variant_of_string : string -> variant option
 
 val all_variants : variant list
 
-val compiled_member : Tiles_poly.Polyhedron.t -> int array -> bool
-(** Closure-free membership test compiled from the space's constraints
-    (no per-call allocation). *)
-
 type t
 
 val make :

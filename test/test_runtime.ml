@@ -91,6 +91,132 @@ let test_grid_diff () =
   Grid.set b [| 1; 1 |] 0 1.5;
   Alcotest.(check (float 1e-12)) "diff" 0.5 (Grid.max_abs_diff a b space)
 
+(* A skewed SOR space: its bounding box holds many cells outside the
+   space, and its rows start and end at different offsets. *)
+let sor_space () =
+  let module Sor = Tiles_apps.Sor in
+  (Sor.nest (Sor.make ~m_steps:4 ~size:7)).Nest.space
+
+(* every cell of the bounding box, inside the space or not *)
+let fill_box g space f =
+  let box = Polyhedron.box (Array.to_list (Polyhedron.bounding_box space)) in
+  Polyhedron.iter_points box (fun j ->
+      for field = 0 to Grid.width g - 1 do
+        Grid.set g j field (f j field)
+      done)
+
+let value j field =
+  let h = (j.(0) * 131) + (j.(1) * 17) + (j.(2) * 7) + field in
+  float_of_int ((h mod 97) - 48) *. 0.37
+
+(* per-point references over Grid.get, in the iter_points order *)
+let pointwise_diff a b space =
+  let worst = ref 0. in
+  Polyhedron.iter_points space (fun j ->
+      for f = 0 to Grid.width a - 1 do
+        let x = Grid.get a j f and y = Grid.get b j f in
+        let d =
+          if Float.is_nan x || Float.is_nan y then infinity
+          else Float.abs (x -. y)
+        in
+        if d > !worst then worst := d
+      done);
+  !worst
+
+let pointwise_checksum g space =
+  let sum = ref 0. and comp = ref 0. in
+  Polyhedron.iter_points space (fun j ->
+      for f = 0 to Grid.width g - 1 do
+        let x = Grid.get g j f in
+        let s = !sum +. x in
+        if Float.abs !sum >= Float.abs x then
+          comp := !comp +. ((!sum -. s) +. x)
+        else comp := !comp +. ((x -. s) +. !sum);
+        sum := s
+      done);
+  !sum +. !comp
+
+let test_grid_rowwise () =
+  let space = sor_space () in
+  let a = Grid.create space ~width:2 and b = Grid.create space ~width:2 in
+  fill_box a space value;
+  fill_box b space (fun j f ->
+      if (j.(1) + j.(2) + f) mod 5 = 0 then value j f +. (0.01 *. float_of_int j.(2))
+      else value j f);
+  Alcotest.(check (float 0.)) "max_abs_diff = per-point"
+    (pointwise_diff a b space) (Grid.max_abs_diff a b space);
+  Alcotest.(check bool) "the grids differ" true (Grid.max_abs_diff a b space > 0.);
+  Alcotest.(check (float 0.)) "checksum = per-point"
+    (pointwise_checksum a space) (Grid.checksum a space);
+  (* NaN in a bounding-box cell outside the space is never looked at *)
+  let outside = ref None in
+  Polyhedron.iter_points
+    (Polyhedron.box (Array.to_list (Polyhedron.bounding_box space)))
+    (fun j ->
+      if !outside = None && not (Polyhedron.member space j) then
+        outside := Some (Array.copy j));
+  let outside = Option.get !outside in
+  let sum = Grid.checksum a space and diff = Grid.max_abs_diff a b space in
+  Grid.set a outside 1 Float.nan;
+  Alcotest.(check (float 0.)) "outside NaN: diff unchanged" diff
+    (Grid.max_abs_diff a b space);
+  Alcotest.(check (float 0.)) "outside NaN: checksum unchanged" sum
+    (Grid.checksum a space);
+  (* NaN at a space point, in either operand *)
+  let inside = Array.copy (List.nth (Polyhedron.points space) 40) in
+  Grid.set b inside 1 Float.nan;
+  Alcotest.(check (float 0.)) "NaN in b is infinity" infinity
+    (Grid.max_abs_diff a b space);
+  Alcotest.(check (float 0.)) "NaN in b, swapped" infinity
+    (Grid.max_abs_diff b a space);
+  let c = Grid.create space ~width:1 in
+  Alcotest.check_raises "width mismatch"
+    (Invalid_argument "Grid.max_abs_diff: widths differ") (fun () ->
+      ignore (Grid.max_abs_diff a c space))
+
+(* rows that start inside a grid's box but end outside it are refused,
+   not read past the box *)
+let test_grid_row_end_checked () =
+  let small = Polyhedron.box [ (0, 3); (0, 3) ] in
+  let wide = Polyhedron.box [ (0, 3); (0, 5) ] in
+  let a = Grid.create small ~width:1 and b = Grid.create wide ~width:1 in
+  fill_box a small (fun _ _ -> 1.);
+  fill_box b wide (fun _ _ -> 1.);
+  Alcotest.check_raises "diff" (Invalid_argument "Grid: out of bounding box")
+    (fun () -> ignore (Grid.max_abs_diff b a wide));
+  Alcotest.check_raises "checksum"
+    (Invalid_argument "Grid: out of bounding box") (fun () ->
+      ignore (Grid.checksum a wide))
+
+(* the rows expand to exactly the iter_points sequence, and their
+   lengths sum to count_points *)
+let test_iter_rows () =
+  List.iter
+    (fun (name, space) ->
+      let n = Polyhedron.dim space in
+      let total = ref 0 and expanded = ref [] in
+      Polyhedron.iter_rows space (fun j len ->
+          Alcotest.(check bool) (name ^ ": row not empty") true (len >= 1);
+          total := !total + len;
+          for s = 0 to len - 1 do
+            expanded :=
+              Array.init n (fun k -> if k = n - 1 then j.(k) + s else j.(k))
+              :: !expanded
+          done);
+      Alcotest.(check int) (name ^ ": lengths sum to count_points")
+        (Polyhedron.count_points space) !total;
+      Alcotest.(check bool) (name ^ ": rows expand to iter_points") true
+        (List.rev !expanded = Polyhedron.points space))
+    [
+      ("sor", sor_space ());
+      ("box", Polyhedron.box [ (2, 4); (-1, 3) ]);
+      ("line", Polyhedron.box [ (-2, 5) ]);
+      ( "cut",
+        Polyhedron.add
+          (Polyhedron.box [ (0, 6); (0, 6); (0, 3) ])
+          (Tiles_poly.Constr.make ~coeffs:[| -1; -1; 1 |] ~const:6) );
+    ]
+
 (* ---------- Seq_exec ---------- *)
 
 let test_seq_pascal () =
@@ -369,6 +495,9 @@ let () =
           Alcotest.test_case "checksum compensated" `Quick
             test_grid_checksum_compensated;
           Alcotest.test_case "diff" `Quick test_grid_diff;
+          Alcotest.test_case "row-wise = per-point" `Quick test_grid_rowwise;
+          Alcotest.test_case "row end checked" `Quick test_grid_row_end_checked;
+          Alcotest.test_case "iter_rows" `Quick test_iter_rows;
         ] );
       ("seq", [ Alcotest.test_case "pascal" `Quick test_seq_pascal ]);
       ( "kernel",

@@ -81,6 +81,215 @@ let test_seq_variants_identical () =
   let p = Adi.make ~t_steps:5 ~size:9 in
   check_app "adi" (Adi.nest p).Nest.space (Adi.kernel p)
 
+(* ---------- sequential row split ---------- *)
+
+(* [Seq_exec]'s fast walk runs each row's interior span with unguarded
+   reads, so a span wider than the true one reads outside the space (a
+   NaN cell that [~check:true] reports, or memory outside the grid). The
+   kernels below are random affine stencils: every field of a point is a
+   fixed left-to-right sum over the reads, so the row body and [compute]
+   perform the same float operations in the same order. *)
+type row_case = {
+  space : Polyhedron.t;
+  reads : int array list;
+  width : int;
+  uses_j : bool;
+  row : bool;
+  coeffs : float array array;  (* [field].(read) *)
+}
+
+let row_kernel c =
+  let nrd = List.length c.reads in
+  let term f j =
+    if c.uses_j then 0.01 *. float_of_int ((j.(0) * 3) + j.(1) + f) else 0.
+  in
+  let compute ~read ~j ~out =
+    for f = 0 to c.width - 1 do
+      let acc = ref (term f j) in
+      for r = 0 to nrd - 1 do
+        acc := !acc +. (c.coeffs.(f).(r) *. read r ((r + f) mod c.width))
+      done;
+      out.(f) <- !acc
+    done
+  in
+  let row ~(la : Fbuf.t) ~dst ~taps ~len =
+    for i = dst to dst + len - 1 do
+      let acc = ref 0. in
+      for r = 0 to nrd - 1 do
+        acc := !acc +. (c.coeffs.(0).(r) *. la.{i + taps.(r)})
+      done;
+      la.{i} <- !acc
+    done
+  in
+  Kernel.make ~name:"rows" ~dim:(Polyhedron.dim c.space) ~width:c.width
+    ~uses_j:c.uses_j
+    ?row:(if c.row then Some row else None)
+    ~reads:c.reads
+    ~boundary:(fun j f ->
+      0.5 +. (0.1 *. float_of_int ((((j.(0) * 7) + (j.(1) * 3) + f) mod 11 + 11) mod 11)))
+    ~compute ()
+
+(* the fast walk with and without check equals the per-point walk *)
+let row_split_identical c =
+  let kernel = row_kernel c in
+  let space = c.space in
+  let reference = Seq_exec.run ~variant:Walker.Reference ~space ~kernel () in
+  List.for_all
+    (fun check ->
+      let g = Seq_exec.run ~variant:Walker.Fastpath ~check ~space ~kernel () in
+      Grid.max_abs_diff g reference space = 0.)
+    [ false; true ]
+
+(* per row, the steps at which every tap reads inside the space, by
+   brute force *)
+let brute_interior space reads =
+  let n = Polyhedron.dim space in
+  let spans = ref [] in
+  Polyhedron.iter_rows space (fun j len ->
+      let x0 = j.(n - 1) in
+      let inside =
+        List.filter
+          (fun s ->
+            List.for_all
+              (fun d ->
+                Polyhedron.member space
+                  (Array.init n (fun k ->
+                       (if k = n - 1 then x0 + s else j.(k)) - d.(k))))
+              reads)
+          (List.init len Fun.id)
+      in
+      spans := (len, inside) :: !spans);
+  !spans
+
+let gen_row_case =
+  QCheck.Gen.(
+    let* n = int_range 2 3 in
+    let* ranges =
+      list_repeat n
+        (let* l = int_range (-3) 3 in
+         let* w = int_range 0 7 in
+         return (l, l + w))
+    in
+    (* lower unitriangular skew: unimodular, keeps reads lex-positive *)
+    let* below = list_repeat (n * n) (int_range (-2) 2) in
+    let below = Array.of_list below in
+    let skew =
+      Array.init n (fun i ->
+          Array.init n (fun k ->
+              if k = i then 1 else if k < i then below.((i * n) + k) else 0))
+    in
+    let* cut =
+      opt (pair (array_size (return n) (int_range (-3) 3)) (int_range 0 12))
+    in
+    let* reads =
+      list_size (int_range 1 4)
+        (let* lead = int_range 0 (n - 1) in
+         let* first = int_range 1 3 in
+         let* rest = list_repeat n (int_range (-2) 2) in
+         let rest = Array.of_list rest in
+         return
+           (Array.init n (fun k ->
+                if k < lead then 0 else if k = lead then first else rest.(k))))
+    in
+    let* width = int_range 1 2 in
+    let* uses_j = bool in
+    let* row = if width = 1 then bool else return false in
+    let* coeffs =
+      list_repeat 2
+        (list_repeat (List.length reads) (float_range (-0.3) 0.3))
+    in
+    let space =
+      Polyhedron.transform_unimodular skew (Polyhedron.box ranges)
+    in
+    let space =
+      match cut with
+      | None -> space
+      | Some (coeffs, const) ->
+        Polyhedron.add space (Tiles_poly.Constr.make ~coeffs ~const)
+    in
+    return
+      {
+        space;
+        reads;
+        width;
+        uses_j = uses_j && not row;
+        row;
+        coeffs = Array.of_list (List.map Array.of_list coeffs);
+      })
+
+let print_row_case c =
+  Format.asprintf "%a@.reads %s width %d uses_j %b row %b" Polyhedron.pp
+    c.space
+    (String.concat " " (List.map Tiles_util.Vec.to_string c.reads))
+    c.width c.uses_j c.row
+
+let prop_row_split =
+  QCheck.Test.make ~name:"seq row split: fast (+check) = reference"
+    ~count:300
+    (QCheck.make ~print:print_row_case gen_row_case)
+    (fun c ->
+      if Polyhedron.count_points c.space = 0 then QCheck.assume_fail ()
+      else row_split_identical c)
+
+let sor_row_case () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:4 ~size:11 in
+  let space = (Sor.nest p).Nest.space in
+  let reads = (Sor.kernel p).Kernel.reads in
+  (space, reads)
+
+(* skewed SOR: the in-row tap of each row's first point leaves the space,
+   so no row is wholly interior, yet most rows have an interior part *)
+let test_row_split_sor () =
+  let space, reads = sor_row_case () in
+  let spans = brute_interior space reads in
+  Alcotest.(check bool) "every row's span is a strict sub-interval" true
+    (List.for_all
+       (fun (len, inside) ->
+         List.length inside < len
+         && (inside = []
+            || List.nth inside (List.length inside - 1) - List.hd inside + 1
+               = List.length inside))
+       spans);
+  Alcotest.(check bool) "some rows have an interior part" true
+    (List.exists (fun (_, inside) -> inside <> []) spans);
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:4 ~size:11 in
+  let kernel = Sor.kernel p in
+  let reference = Seq_exec.run ~variant:Walker.Reference ~space ~kernel () in
+  List.iter
+    (fun check ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "sor fast check:%b = reference" check)
+        0.
+        (Grid.max_abs_diff
+           (Seq_exec.run ~variant:Walker.Fastpath ~check ~space ~kernel ())
+           reference space))
+    [ false; true ]
+
+(* rows of two points under a tap reaching three points back along the
+   row: every span is empty and every point takes the guarded path *)
+let test_row_split_short_rows () =
+  let space = Polyhedron.box [ (0, 5); (0, 1) ] in
+  let reads = [ [| 0; 3 |]; [| 1; 0 |] ] in
+  Alcotest.(check bool) "every span is empty" true
+    (List.for_all (fun (_, inside) -> inside = []) (brute_interior space reads));
+  List.iter
+    (fun row ->
+      Alcotest.(check bool)
+        (Printf.sprintf "short rows (row body %b) = reference" row)
+        true
+        (row_split_identical
+           {
+             space;
+             reads;
+             width = 1;
+             uses_j = false;
+             row;
+             coeffs = [| [| 0.25; 0.5 |] |];
+           }))
+    [ false; true ]
+
 (* ---------- NaN-read validation modes ---------- *)
 
 (* Build a walker for a rank whose first tile needs halo data, give it a
@@ -360,6 +569,10 @@ let () =
         [
           Alcotest.test_case "sequential walkers identical" `Quick
             test_seq_variants_identical;
+          Alcotest.test_case "row split: skewed sor" `Quick test_row_split_sor;
+          Alcotest.test_case "row split: rows shorter than taps" `Quick
+            test_row_split_short_rows;
+          q prop_row_split;
           q prop_walkers_bit_identical;
         ] );
       ( "memo",
