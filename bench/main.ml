@@ -438,7 +438,11 @@ let ablation_overlap () =
         ~kernel:spec.E.kernel ~net ()
     in
     let b = mk false and o = mk true in
-    let eff r = Tiles_mpisim.Trace.efficiency r.Executor.stats in
+    let eff r =
+      let s = Tiles_mpisim.Trace.aggregate r.Executor.stats in
+      s.Tiles_obs.Stats.total_compute
+      /. (float_of_int s.Tiles_obs.Stats.nprocs *. s.Tiles_obs.Stats.completion)
+    in
     Table.add_row t
       [
         label; variant;
@@ -501,44 +505,47 @@ let ablation_overlap () =
   emit ts
 
 let model () =
-  pf "\n=== Model — Hodzic–Shang analytic completion time vs simulation ===\n";
-  pf "(SOR M=100 N=200, rect tiling; the model ranks tile sizes and finds\n";
-  pf " the speedup peak without running anything)\n";
-  let module Model = Tiles_runtime.Model in
+  pf "\n=== Model — analytic completion time vs simulation ===\n";
+  pf "(SOR M=100 N=200, rect tiling; Predictor.refine, the tuner's ranking\n";
+  pf " pass, ranks tile sizes and finds the speedup peak without running\n";
+  pf " anything)\n";
+  let module Predictor = Tiles_tune.Predictor in
   let spec = E.sor ~factors:[ 2; 3; 4; 6; 8; 10; 16; 25 ] ~m_steps:100 ~size:200 () in
   let t =
     Table.create
       ~header:[ "z"; "predicted time"; "simulated time"; "predicted speedup"; "measured speedup" ]
   in
   let mk f = Plan.make ~m:spec.E.m spec.E.nest ((List.assoc "rect" spec.E.variants) f) in
+  let rows =
+    List.map
+      (fun f ->
+        (f, Predictor.refine (mk f) ~net, E.run_one spec ~net ~variant:"rect" ~factor:f))
+      spec.E.factors
+  in
   List.iter
-    (fun f ->
-      let est = Model.predict (mk f) ~net in
-      let r = E.run_one spec ~net ~variant:"rect" ~factor:f in
+    (fun (f, est, r) ->
       Table.add_row t
         [
           string_of_int f;
-          Printf.sprintf "%.4f s" est.Model.total;
+          Printf.sprintf "%.4f s" est.Predictor.total;
           Printf.sprintf "%.4f s" r.E.completion;
-          Printf.sprintf "%.2f" est.Model.predicted_speedup;
+          Printf.sprintf "%.2f" est.Predictor.predicted_speedup;
           Printf.sprintf "%.2f" r.E.speedup;
         ])
-    spec.E.factors;
+    rows;
   emit t;
-  let best_f, _ = Model.best_factor mk ~factors:spec.E.factors ~net in
-  let measured_best =
-    List.fold_left
-      (fun acc f ->
-        let r = E.run_one spec ~net ~variant:"rect" ~factor:f in
-        match acc with
-        | Some (_, s) when s >= r.E.speedup -> acc
-        | _ -> Some (f, r.E.speedup))
-      None spec.E.factors
+  (* first factor with the least score *)
+  let argmin score =
+    let f, _, _ =
+      List.fold_left
+        (fun best row -> if score row < score best then row else best)
+        (List.hd rows) rows
+    in
+    f
   in
-  (match measured_best with
-  | Some (f, _) ->
-    pf "model-optimal z = %d; simulation-optimal z = %d\n" best_f f
-  | None -> ())
+  pf "model-optimal z = %d; simulation-optimal z = %d\n"
+    (argmin (fun (_, est, _) -> est.Predictor.total))
+    (argmin (fun (_, _, r) -> -.r.E.speedup))
 
 let memory () =
   pf "\n=== Memory — LDS compression vs enclosing-rectangle allocation (§3.1) ===\n";
@@ -826,15 +833,14 @@ let analyze_target () =
 let perf_target () =
   pf "\n=== Perf — repeated-run distributions and analytic-model residuals ===\n";
   pf "(each config runs 1 warmup + 3 measured sim repeats; the residual\n";
-  pf " table compares the tuner's two predictor passes and the\n";
-  pf " Hodzic-Shang model against the observed completion)\n";
+  pf " table compares the tuner's two predictor passes against the\n";
+  pf " observed completion)\n";
   let module Stats = Tiles_obs.Stats in
   let module Metric = Tiles_obs.Metric in
   let module Residual = Tiles_obs.Residual in
   let module Baseline = Tiles_obs.Baseline in
   let module Runmeta = Tiles_obs.Runmeta in
   let module Predictor = Tiles_tune.Predictor in
-  let module Model = Tiles_runtime.Model in
   let repeats = 3 and warmup = 1 in
   let suite =
     [
@@ -906,23 +912,14 @@ let perf_target () =
         ]
       in
       let width = kernel.Tiles_runtime.Kernel.width in
-      let entries source fields =
-        List.filter_map
-          (fun (field, predicted) ->
-            Option.map
-              (fun observed ->
-                { Residual.label; source; field; predicted; observed })
-              (List.assoc_opt field observed))
-          fields
-      in
-      let p = Predictor.predict ~width plan ~net in
-      let r = Predictor.refine ~width plan ~net in
-      let mo = Model.predict plan ~net in
       residual_entries :=
         !residual_entries
-        @ entries (Predictor.source p) (Predictor.fields p)
-        @ entries (Predictor.source r) (Predictor.fields r)
-        @ entries "model" (Model.fields mo);
+        @ List.concat_map
+            (fun e ->
+              Residual.of_fields ~label ~source:(Predictor.source e) ~observed
+                (Predictor.fields e))
+            [ Predictor.predict ~width plan ~net;
+              Predictor.refine ~width plan ~net ];
       let meta =
         Runmeta.make ~app ~variant ~size1 ~size2 ~tile
           ~nprocs:(Plan.nprocs plan) ~backend:"sim"

@@ -4,11 +4,12 @@
      plan       derive and print the parallelisation plan for an algorithm
      cone       print the algorithm's tiling cone (extreme rays)
      emit-mpi   generate the data-parallel MPI C program
-     emit-seq   generate the sequential tiled C program
+     emit-seq   generate the sequential tiled C program for the given sizes
+                (the emit-pseq generator on a zero-parameter space)
      emit-pseq  generate the parametric sequential program (sizes at runtime)
      simulate   run the plan on the simulated cluster and report speedup
                 (--full verifies, --overlap uses non-blocking sends,
-                 --utilisation prints the traced busy/wait breakdown,
+                 --utilisation prints the traced per-rank Stats table,
                  --trace FILE writes a Chrome trace-event JSON)
      trace      run traced (simulator or shm domains), export the Chrome
                 trace-event JSON / SVG timeline, print aggregate stats
@@ -353,8 +354,10 @@ let emit_pseq_cmd =
 let emit_seq_cmd =
   let run =
     emit (fun inst plan ->
-        Tiles_codegen.Seqgen.generate ~plan ~kernel:inst.ckernel
-          ~reads:inst.creads ?skew:inst.skew ())
+        Tiles_codegen.Pseqgen.generate
+          ~pspace:(Tiles_poly.Pspace.of_polyhedron inst.nest.Nest.space)
+          ~tiling:plan.Plan.tiling ~kernel:inst.ckernel ~reads:inst.creads
+          ?skew:inst.skew ())
   in
   Cmd.v
     (Cmd.info "emit-seq" ~doc:"Generate the sequential tiled C program.")
@@ -369,7 +372,8 @@ let simulate_cmd =
   in
   let trace_arg =
     Arg.(value & flag & info [ "utilisation" ]
-           ~doc:"Trace the run and print the per-rank busy/wait breakdown.")
+           ~doc:"Trace the run and print the per-rank \
+                 compute/pack/send/wait/unpack breakdown.")
   in
   let overlap_arg =
     Arg.(value & flag & info [ "overlap" ]
@@ -416,22 +420,8 @@ let simulate_cmd =
       in
       Printf.printf "max |parallel - sequential| = %g\n" err
     end;
-    if trace then begin
-      let u = Tiles_mpisim.Trace.utilisation r.Executor.stats in
-      Printf.printf "machine efficiency %.0f%%\n"
-        (100. *. Tiles_mpisim.Trace.efficiency r.Executor.stats);
-      Array.iteri
-        (fun rank x ->
-          Printf.printf
-            "  rank %-3d compute %6.2fms  send %6.2fms  wait %6.2fms  idle \
-             %6.2fms\n"
-            rank
-            (1e3 *. x.Tiles_mpisim.Trace.compute)
-            (1e3 *. x.Tiles_mpisim.Trace.send)
-            (1e3 *. x.Tiles_mpisim.Trace.wait)
-            (1e3 *. x.Tiles_mpisim.Trace.idle))
-        u
-    end;
+    if trace then
+      print_string (Stats.summary (Tiles_mpisim.Trace.aggregate r.Executor.stats));
     match trace_out with
     | None -> ()
     | Some path ->
@@ -939,7 +929,6 @@ let perf_cmd =
       | `Shm -> []
       | `Sim ->
         let module Predictor = Tiles_tune.Predictor in
-        let module Model = Tiles_runtime.Model in
         let width = inst.kernel.Tiles_runtime.Kernel.width in
         let observed =
           [
@@ -948,22 +937,11 @@ let perf_cmd =
           ]
         in
         let label = Printf.sprintf "%s/%s" inst.app_name variant in
-        let entries source fields =
-          List.filter_map
-            (fun (field, predicted) ->
-              match List.assoc_opt field observed with
-              | Some obs ->
-                Some
-                  { Residual.label; source; field; predicted; observed = obs }
-              | None -> None)
-            fields
-        in
-        let p = Predictor.predict ~width plan ~net in
-        let r = Predictor.refine ~width plan ~net in
-        let m = Model.predict plan ~net in
-        entries (Predictor.source p) (Predictor.fields p)
-        @ entries (Predictor.source r) (Predictor.fields r)
-        @ entries "model" (Model.fields m)
+        List.concat_map
+          (fun e ->
+            Residual.of_fields ~label ~source:(Predictor.source e) ~observed
+              (Predictor.fields e))
+          [ Predictor.predict ~width plan ~net; Predictor.refine ~width plan ~net ]
     in
     if record then begin
       (if not (Sys.file_exists dir) then

@@ -7,7 +7,7 @@
 
 module Sor = Tiles_apps.Sor
 module Plan = Tiles_core.Plan
-module Seqgen = Tiles_codegen.Seqgen
+module Pseqgen = Tiles_codegen.Pseqgen
 module Mpigen = Tiles_codegen.Mpigen
 
 let () =
@@ -21,7 +21,9 @@ let () =
       ~skew:Sor.skew_matrix ()
   in
   let seq =
-    Seqgen.generate ~plan ~kernel:Sor.ckernel ~reads:Sor.skewed_reads
+    Pseqgen.generate
+      ~pspace:(Tiles_poly.Pspace.of_polyhedron nest.Tiles_loop.Nest.space)
+      ~tiling ~kernel:Sor.ckernel ~reads:Sor.skewed_reads
       ~skew:Sor.skew_matrix ()
   in
   let write name contents =

@@ -155,11 +155,11 @@ let tables ~plan ~kernel ~skew ~reads =
   core_tables ~tiling:plan.Plan.tiling ~kernel ~skew ~reads
   @ space_tables plan.Plan.nest.Tiles_loop.Nest.space
 
-(* Strength-reduced global addressing for the sequential generators: the
+(* Strength-reduced global addressing for the sequential generator: the
    innermost loop keeps a running flat index [gi] into DATA (gidx is affine
    over the dense bounding box, so one innermost step always adds GSTEP) and
    each read tap is a constant flat offset DOFF[r].  Emitted after GDIMS and
-   DATA are declared; GDIMS may only be known at runtime (pseqgen), so the
+   DATA are declared; GDIMS is only known at runtime (pseqgen), so the
    derived strides are filled in by strength_init(). *)
 let strength_helpers =
   [
@@ -183,21 +183,5 @@ static double rd_sr(const int *j, long gi, int r, int f) {
   int src[NDIM], k;
   for (k = 0; k < NDIM; k++) src[k] = j[k] - D[r][k];
   return in_space(src) ? DATA[(gi + DOFF[r]) * W + f] : boundary(src, f);
-}|};
-  ]
-
-let bbox_tables space =
-  let bbox = Polyhedron.bounding_box space in
-  let lo = Array.map fst bbox in
-  let dims = Array.map (fun (l, h) -> h - l + 1) bbox in
-  let total = Array.fold_left ( * ) 1 dims in
-  [
-    int_table1 "GLO" lo;
-    int_table1 "GDIMS" dims;
-    Printf.sprintf "#define GTOT %d" total;
-    {|static int gidx(const int *j) {
-  int k, idx = 0;
-  for (k = 0; k < NDIM; k++) idx = idx * GDIMS[k] + (j[k] - GLO[k]);
-  return idx;
 }|};
   ]

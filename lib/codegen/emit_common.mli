@@ -39,11 +39,7 @@ val tables :
 (** [space_tables] + [core_tables] for a concrete plan. *)
 
 val strength_helpers : string list
-(** Strength-reduced DATA addressing for the sequential generators:
+(** Strength-reduced DATA addressing for the sequential generator:
     GS/GSTEP/DOFF tables with a runtime [strength_init()] (GDIMS may be
     parametric) and the flat-offset tap reader [rd_sr].  Must be emitted
     after GDIMS, the JSTEP table (from {!core_tables}) and [DATA]. *)
-
-val bbox_tables : Tiles_poly.Polyhedron.t -> string list
-(** GLO/GDIMS/GTOT tables and [gidx] for a dense bounding-box data array
-    (sequential generator / verification path). *)

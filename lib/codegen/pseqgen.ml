@@ -102,6 +102,30 @@ static int in_space(const int *j) {
   return idx;
 }|};
         "static double *DATA;";
+        {|/* one size parameter: a whole decimal int and nothing else */
+static int parse_param(const char *s, int *out) {
+  char *end; long v;
+  errno = 0;
+  v = strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX)
+    return 0;
+  *out = (int)v;
+  return 1;
+}|};
+        {|/* GTOT = prod GDIMS cells of W doubles each; 0 when the byte count
+   overflows or malloc fails */
+static int alloc_data(void) {
+  int k;
+  GTOT = 1;
+  for (k = 0; k < NDIM; k++) {
+    if (GDIMS[k] <= 0) { GTOT = 0; break; }
+    if (GTOT > LONG_MAX / GDIMS[k]) return 0;
+    GTOT *= GDIMS[k];
+  }
+  if ((size_t)GTOT > SIZE_MAX / (W * sizeof(double))) return 0;
+  DATA = (double *)malloc(GTOT > 0 ? (size_t)GTOT * W * sizeof(double) : 1);
+  return DATA != NULL;
+}|};
       ]
     @ Emit_common.strength_helpers
     @ [
@@ -247,22 +271,23 @@ static int in_space(const int *j) {
           Decl ("double", "out[W]", None);
           Decl ("long", "npoints", Some (Int 0));
           Decl ("double", "sum", Some (Flt 0.));
+          RawStmt "k = 0;";
+          RawStmt "if (argc == 1 + NPAR)";
+          RawStmt "  while (k < NPAR && parse_param(argv[1 + k], &PAR[k])) k++;";
           RawStmt
             (Printf.sprintf
-               "if (argc != 1 + NPAR) { fprintf(stderr, \"usage: %%s%s\\n\", \
-                argv[0]); return 2; }"
+               "if (argc != 1 + NPAR || k < NPAR) { fprintf(stderr, \
+                \"usage: %%s%s\\n\", argv[0]); return 2; }"
                (String.concat ""
                   (List.init p (fun i ->
                        " <" ^ pspace.Pspace.params.(i) ^ ">"))));
-          RawStmt "for (k = 0; k < NPAR; k++) PAR[k] = atoi(argv[1 + k]);";
           Comment "data-space extents from the parameters";
         ]
         @ extent_stmts
         @ [
-            RawStmt "GTOT = 1;";
-            RawStmt "for (k = 0; k < NDIM; k++) GTOT *= GDIMS[k];";
             RawStmt
-              "DATA = (double *)malloc((size_t)GTOT * W * sizeof(double));";
+              "if (!alloc_data()) { fprintf(stderr, \"%s: cannot allocate \
+               the data space\\n\", argv[0]); return 1; }";
             RawStmt "strength_init();";
             Comment "tile loops (parametric Fourier-Motzkin bounds), then TTIS";
           ]
@@ -277,4 +302,7 @@ static int in_space(const int *j) {
           ];
     }
   in
-  program ~includes:[ "stdio.h"; "stdlib.h"; "math.h" ] ~prelude [ main ]
+  program
+    ~includes:
+      [ "stdio.h"; "stdlib.h"; "stdint.h"; "limits.h"; "errno.h"; "math.h" ]
+    ~prelude [ main ]

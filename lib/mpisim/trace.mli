@@ -1,26 +1,5 @@
-(** Post-mortem analysis of traced simulations. *)
-
-type utilisation = {
-  compute : float;  (** seconds spent computing *)
-  pack : float;     (** seconds gathering slabs into send buffers *)
-  send : float;     (** seconds in send overhead / wire occupancy *)
-  wait : float;     (** seconds genuinely blocked in receives *)
-  unpack : float;   (** seconds in receive overhead + halo scatter *)
-  idle : float;     (** completion − all of the above for this rank *)
-}
-
-val utilisation : Sim.stats -> utilisation array
-(** Per-rank breakdown over the whole run (requires a trace; raises
-    [Invalid_argument] otherwise). The idle component is the time between
-    a rank's own finish and the global completion, plus any unaccounted
-    gaps. *)
-
-val efficiency : Sim.stats -> float
-(** Mean compute fraction across ranks: [Σ compute / (nprocs ·
-    completion)] — 1.0 means a perfectly busy machine. *)
-
-val critical_rank : Sim.stats -> int
-(** The rank that finished last. *)
+(** Post-mortem analysis of traced simulations: the per-rank time
+    breakdown, busy fractions and counters live in {!Tiles_obs.Stats}. *)
 
 val aggregate : Sim.stats -> Tiles_obs.Stats.t
 (** The backend-neutral aggregate record (busy fractions, comm/compute

@@ -8,6 +8,14 @@ type entry = {
   observed : float;
 }
 
+let of_fields ~label ~source ~observed fields =
+  List.filter_map
+    (fun (field, predicted) ->
+      Option.map
+        (fun observed -> { label; source; field; predicted; observed })
+        (List.assoc_opt field observed))
+    fields
+
 let rel_error e =
   if e.observed <> 0. then (e.predicted -. e.observed) /. e.observed
   else if e.predicted = 0. then 0.

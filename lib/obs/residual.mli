@@ -1,17 +1,16 @@
-(** Residuals of the analytic cost models against observed runs.
+(** Residuals of the analytic cost model against observed runs.
 
-    The tuner's two-pass predictor and the Hodzic–Shang model exist to
-    {e rank} configurations without running them; this module measures
-    how far their absolute estimates drift from what the backends
-    actually report, so model rot is visible in every bench artifact
-    instead of surfacing as a silently mistuned shortlist.
+    The tuner's two-pass predictor exists to {e rank} configurations
+    without running them; this module measures how far its absolute
+    estimates drift from what the backends actually report, so model rot
+    is visible in every bench artifact instead of surfacing as a silently
+    mistuned shortlist.
 
     The module is deliberately generic — an {!entry} is just (label,
     source, field, predicted, observed) — because the observability
-    layer sits below the model layers in the build: the glue that knows
-    about [Tiles_tune.Predictor] and [Tiles_runtime.Model] lives in the
-    bench harness and the CLI, which turn estimates into entries via
-    those modules' [fields] accessors. *)
+    layer sits below the model layer in the build: the bench harness and
+    the CLI turn [Tiles_tune.Predictor] estimates into entries through
+    {!of_fields} and the predictor's [fields] accessor. *)
 
 type entry = {
   label : string;   (** run configuration, e.g. ["sor/nonrect z=8 p=16"] *)
@@ -20,6 +19,15 @@ type entry = {
   predicted : float;
   observed : float;
 }
+
+val of_fields :
+  label:string ->
+  source:string ->
+  observed:(string * float) list ->
+  (string * float) list ->
+  entry list
+(** Pair each predicted [(field, value)] with the observed value of the
+    same field; fields with no observation are dropped. *)
 
 val rel_error : entry -> float
 (** [(predicted − observed) / observed]; 0 when both are 0, ±inf when

@@ -22,6 +22,9 @@ let make ~params ~dim cs =
 
 let nparams t = Array.length t.params
 
+let of_polyhedron space =
+  make ~params:[] ~dim:(Polyhedron.dim space) (Polyhedron.constraints space)
+
 let param_index t name =
   let rec go i =
     if i = Array.length t.params then

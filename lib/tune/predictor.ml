@@ -6,7 +6,7 @@ module Tile_space = Tiles_core.Tile_space
 module Comm = Tiles_core.Comm
 module Mapping = Tiles_core.Mapping
 module Schedule = Tiles_core.Schedule
-module Model = Tiles_runtime.Model
+module Ttis = Tiles_core.Ttis
 
 type estimate = {
   steps : int;
@@ -30,6 +30,24 @@ let skeleton (plan : Plan.t) =
   let steps = max (Schedule.effective_steps plan) chain in
   (steps, chain, steps - chain)
 
+(* geometric (unclipped) per-tile communication cells, summed over the
+   plan's processor directions: the per-step traffic the α-β terms
+   charge *)
+let slab_cells (plan : Plan.t) =
+  let tiling = plan.Plan.tiling and comm = plan.Plan.comm in
+  let n = tiling.Tiling.n and m = comm.Comm.m in
+  List.fold_left
+    (fun acc (dm, _) ->
+      let lo =
+        Array.init n (fun k ->
+            if k = m then 0
+            else
+              let kk = if k < m then k else k - 1 in
+              dm.(kk) * comm.Comm.cc.(k))
+      in
+      acc + Ttis.count_from tiling ~lo)
+    0 comm.Comm.dm
+
 let points_of plan =
   float_of_int (Polyhedron.count_points plan.Plan.nest.Tiles_loop.Nest.space)
 
@@ -41,7 +59,7 @@ let predict ?(width = 1) (plan : Plan.t) ~net =
   let tile_points = float_of_int (Tiling.tile_size plan.Plan.tiling) in
   let tile_compute = tile_points *. net.Netmodel.flop_time in
   let w = float_of_int width in
-  let cells = float_of_int (Model.slab_cells plan) *. w in
+  let cells = float_of_int (slab_cells plan) *. w in
   let bytes = cells *. 8. in
   let nmsg = float_of_int (List.length plan.Plan.comm.Comm.dm) in
   (* the CPU stays busy for pack/unpack and the send/recv overheads on

@@ -1,7 +1,9 @@
-(** The tuner's two-pass analytic cost model.
+(** The analytic cost model: completion time in the style of
+    Hodzic–Shang (the paper's refs [9, 10]), in two passes.
 
-    {!predict} is the cheap pass used to prune the whole candidate set: a
-    refinement of {!Tiles_runtime.Model} whose schedule length is
+    {!predict} is the cheap pass used to prune the whole candidate set:
+    [steps × (tile compute + per-step communication)] under the linear
+    schedule, where the schedule length is
     {!Tiles_core.Schedule.effective_steps} — the span between the first
     and last {e real} iterations — rather than the candidate-tile step
     count, which the nearly-empty corner tiles of oblique tilings inflate

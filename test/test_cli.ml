@@ -62,6 +62,40 @@ let test_emit () =
       if not (contains src n) then Alcotest.failf "emitted C lacks %S" n)
     [ "MPI_Init"; "MPI_Send"; "ttis_start"; "static const int HNF" ]
 
+(* emit-seq emits the zero-parameter sequential program: it compiles and
+   runs with no arguments *)
+let test_emit_seq () =
+  let tmp = Filename.temp_file "tilec" ".c" in
+  check_ok
+    (Printf.sprintf
+       "emit-seq --app sor -M 5 -N 7 --variant nonrect -x 3 -y 4 -z 3 -o %s"
+       (Filename.quote tmp))
+    [];
+  let ic = open_in tmp in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if not (contains src "int main") then Alcotest.fail "emitted C lacks main";
+  if Sys.command "command -v cc >/dev/null 2>&1" = 0 then begin
+    let exe = Filename.remove_extension tmp ^ ".exe" in
+    let cmd =
+      Printf.sprintf "cc -O1 -std=c99 %s -lm -o %s && %s 2>&1"
+        (Filename.quote tmp) (Filename.quote exe) (Filename.quote exe)
+    in
+    let ic = Unix.open_process_in cmd in
+    let out = In_channel.input_all ic in
+    let status = Unix.close_process_in ic in
+    if Sys.file_exists exe then Sys.remove exe;
+    if status <> Unix.WEXITED 0 || not (contains out "points 245") then
+      Alcotest.failf "compiled emit-seq program:\n%s" out
+  end;
+  Sys.remove tmp
+
+let test_simulate_utilisation () =
+  check_ok
+    "simulate --app sor -M 12 -N 16 --variant nonrect -x 6 -y 7 -z 4 \
+     --utilisation"
+    [ "rank 0 "; "compute"; "wait"; "busy"; "mean busy" ]
+
 let test_bad_app () =
   let status, _ = run "plan --app nope" in
   Alcotest.(check bool) "non-zero exit" true (status <> Unix.WEXITED 0)
@@ -478,6 +512,9 @@ let () =
           Alcotest.test_case "cone" `Quick test_cone;
           Alcotest.test_case "simulate --full" `Quick test_simulate;
           Alcotest.test_case "emit-mpi" `Quick test_emit;
+          Alcotest.test_case "emit-seq" `Quick test_emit_seq;
+          Alcotest.test_case "simulate --utilisation" `Quick
+            test_simulate_utilisation;
           Alcotest.test_case "bad app" `Quick test_bad_app;
           Alcotest.test_case "singular tiling error" `Quick test_singular_tiling;
           Alcotest.test_case "illegal tiling error" `Quick test_illegal_tiling;

@@ -4,7 +4,8 @@ module Tiling = Tiles_core.Tiling
 module Plan = Tiles_core.Plan
 module C_ast = Tiles_codegen.C_ast
 module Ckernel = Tiles_codegen.Ckernel
-module Seqgen = Tiles_codegen.Seqgen
+module Pseqgen = Tiles_codegen.Pseqgen
+module Pspace = Tiles_poly.Pspace
 module Mpigen = Tiles_codegen.Mpigen
 module Kernel = Tiles_runtime.Kernel
 module Grid = Tiles_runtime.Grid
@@ -12,6 +13,7 @@ module Seq_exec = Tiles_runtime.Seq_exec
 module Sor = Tiles_apps.Sor
 module Jacobi = Tiles_apps.Jacobi
 module Adi = Tiles_apps.Adi
+module Triband = Tiles_apps.Triband
 
 (* ---------- C AST ---------- *)
 
@@ -117,13 +119,17 @@ let rel_close a b =
 
 (* ---------- generated sequential code vs OCaml oracle ---------- *)
 
+(* a concrete space is the zero-parameter case of the one sequential
+   generator: the program runs with no arguments *)
 let check_seq ~name ~nest ~kernel ~ckernel ~reads ~skew ~tiling =
-  let plan = Plan.make nest tiling in
-  let src = Seqgen.generate ~plan ~kernel:ckernel ~reads ?skew () in
+  let space = nest.Nest.space in
+  let src =
+    Pseqgen.generate ~pspace:(Pspace.of_polyhedron space) ~tiling
+      ~kernel:ckernel ~reads ?skew ()
+  in
   test_balanced_braces src;
   let out = compile_and_run ~mpi:false name src in
   let points, checksum = parse_output out in
-  let space = nest.Nest.space in
   Alcotest.(check int) (name ^ " points") (Polyhedron.count_points space) points;
   let oracle = Grid.checksum (Seq_exec.run ~space ~kernel ()) space in
   if not (rel_close checksum oracle) then
@@ -147,6 +153,14 @@ let test_seqgen_adi () =
   check_seq ~name:"seq_adi" ~nest:(Adi.nest p) ~kernel:(Adi.kernel p)
     ~ckernel:Adi.ckernel ~reads:Adi.creads ~skew:None
     ~tiling:(Adi.nr3 ~x:2 ~y:3 ~z:3)
+
+let test_seqgen_triband () =
+  (* a triangular (non-box) space: the extents the program computes at
+     runtime are the space's bounding box, not a rectangle it fills *)
+  let p = Triband.make ~size:18 in
+  check_seq ~name:"seq_triband" ~nest:(Triband.nest p)
+    ~kernel:(Triband.kernel p) ~ckernel:Triband.ckernel ~reads:Triband.creads
+    ~skew:None ~tiling:(Triband.oblique ~x:4 ~y:5)
 
 (* ---------- generated MPI code vs OCaml oracle ---------- *)
 
@@ -229,11 +243,12 @@ let test_bounds_exprs () =
 
 let test_seqgen_rejects_read_mismatch () =
   let p = Adi.make ~t_steps:3 ~size:4 in
-  let plan = Plan.make ~m:0 (Adi.nest p) (Adi.rect ~x:2 ~y:2 ~z:2) in
+  let pspace = Pspace.of_polyhedron (Adi.nest p).Nest.space in
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Seqgen.generate ~plan ~kernel:Adi.ckernel ~reads:[ [| 1; 0; 0 |] ] ());
+         (Pseqgen.generate ~pspace ~tiling:(Adi.rect ~x:2 ~y:2 ~z:2)
+            ~kernel:Adi.ckernel ~reads:[ [| 1; 0; 0 |] ] ());
        false
      with Invalid_argument _ -> true)
 
@@ -260,11 +275,13 @@ let compile_parametric name src =
   close_out oc;
   let status, out =
     run_cmd
-      (Printf.sprintf "gcc -O1 -std=c99 %s -lm -o %s 2>&1"
+      (Printf.sprintf "cc -O1 -std=c99 %s -lm -o %s 2>&1"
          (Filename.quote cfile) (Filename.quote exe))
   in
-  if status <> Unix.WEXITED 0 then Alcotest.failf "gcc failed:\n%s" out;
+  if status <> Unix.WEXITED 0 then Alcotest.failf "cc failed:\n%s" out;
   exe
+
+let cc_available = lazy (Sys.command "command -v cc >/dev/null 2>&1" = 0)
 
 let run_parametric exe args =
   let status, out =
@@ -326,9 +343,42 @@ let test_pseqgen_jacobi () =
     ~mk_nest:(fun t n -> Jacobi.nest (Jacobi.make ~t_steps:t ~size:n))
     [ (4, 7); (6, 10) ]
 
+(* the emitted program checks its arguments and its allocation: garbage
+   sizes are usage errors (exit 2), a data space that cannot be allocated
+   is a clean failure (exit 1), never a silent size 0 or a segfault *)
+let test_pseqgen_rejects_bad_input () =
+  if not (Lazy.force cc_available) then Alcotest.skip ();
+  let src =
+    Pseqgen.generate ~pspace:(Sor.pspace ())
+      ~tiling:(Sor.nonrect ~x:3 ~y:4 ~z:3) ~kernel:Sor.ckernel
+      ~reads:Sor.skewed_reads ~skew:Sor.skew_matrix ()
+  in
+  let exe = compile_parametric "pseq_sor_args" src in
+  let expect ?(prefix = "") code needle args =
+    let status, out =
+      run_cmd (Printf.sprintf "%s%s %s 2>&1" prefix (Filename.quote exe) args)
+    in
+    if status <> Unix.WEXITED code || not (Astring.String.is_infix ~affix:needle out)
+    then
+      Alcotest.failf "%s%s: expected exit %d with %S, got %s:\n%s" prefix args
+        code needle
+        (match status with
+        | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+        | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "signal %d" s)
+        out
+  in
+  expect 2 "usage:" "abc 7";
+  expect 2 "usage:" "5 7x";
+  expect 2 "usage:" "5";
+  expect 2 "usage:" "99999999999 7";
+  (* the byte count overflows: rejected before malloc is called *)
+  expect 1 "cannot allocate" "200000000 200000000";
+  (* ~196 GB under a 256 MB address-space limit: malloc returns NULL *)
+  expect ~prefix:"ulimit -v 262144; " 1 "cannot allocate" "5 70000";
+  expect 0 "points 245" "5 7"
+
 let test_mpigen_triband () =
   (* a triangular iteration space through the generated-code path *)
-  let module Triband = Tiles_apps.Triband in
   let p = Triband.make ~size:18 in
   check_mpi ~m:0 ~name:"mpi_triband" ~nest:(Triband.nest p)
     ~kernel:(Triband.kernel p) ~ckernel:Triband.ckernel ~reads:Triband.creads
@@ -364,10 +414,13 @@ let () =
           Alcotest.test_case "sor" `Quick test_seqgen_sor;
           Alcotest.test_case "jacobi" `Quick test_seqgen_jacobi;
           Alcotest.test_case "adi" `Quick test_seqgen_adi;
+          Alcotest.test_case "triband triangular" `Quick test_seqgen_triband;
           Alcotest.test_case "read mismatch" `Quick test_seqgen_rejects_read_mismatch;
           Alcotest.test_case "parametric sor" `Quick test_pseqgen_sor;
           Alcotest.test_case "parametric adi" `Quick test_pseqgen_adi;
           Alcotest.test_case "parametric jacobi" `Quick test_pseqgen_jacobi;
+          Alcotest.test_case "parametric bad input" `Quick
+            test_pseqgen_rejects_bad_input;
         ] );
       ( "mpigen",
         [

@@ -1,6 +1,8 @@
 module Fbuf = Tiles_util.Fbuf
 module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
+module Trace = Tiles_mpisim.Trace
+module Stats = Tiles_obs.Stats
 
 let net = Netmodel.fast_ethernet_cluster
 
@@ -170,8 +172,15 @@ let test_zero_nprocs () =
   Alcotest.check_raises "invalid" (Invalid_argument "Sim.run: nprocs")
     (fun () -> ignore (Sim.run ~nprocs:0 ~net (fun _ -> ())))
 
+(* a rank's time not spent busy or blocked: from its own finish to the
+   global completion, plus any unaccounted gaps *)
+let idle (s : Stats.t) (r : Stats.rank) = s.completion -. r.busy -. r.wait
+
+(* Σ compute / (nprocs · completion): 1.0 is a perfectly busy machine *)
+let compute_fraction (s : Stats.t) =
+  s.total_compute /. (float_of_int s.nprocs *. s.completion)
+
 let test_trace_and_utilisation () =
-  let module Trace = Tiles_mpisim.Trace in
   let stats =
     Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
         if r = 0 then begin
@@ -184,19 +193,21 @@ let test_trace_and_utilisation () =
         end)
   in
   Alcotest.(check bool) "trace recorded" true (stats.Sim.trace <> []);
-  let u = Trace.utilisation stats in
-  Alcotest.(check (float 1e-9)) "rank0 compute" 1.0 u.(0).Trace.compute;
-  Alcotest.(check (float 1e-9)) "rank1 compute" 0.5 u.(1).Trace.compute;
-  Alcotest.(check bool) "rank1 waited" true (u.(1).Trace.wait > 0.9);
-  Alcotest.(check bool) "efficiency in (0,1]" true
-    (let e = Trace.efficiency stats in
+  let s = Trace.aggregate stats in
+  let u = s.Stats.ranks in
+  Alcotest.(check (float 1e-9)) "rank0 compute" 1.0 u.(0).Stats.compute;
+  Alcotest.(check (float 1e-9)) "rank1 compute" 0.5 u.(1).Stats.compute;
+  Alcotest.(check bool) "rank1 waited" true (u.(1).Stats.wait > 0.9);
+  Alcotest.(check bool) "compute fraction in (0,1]" true
+    (let e = compute_fraction s in
      e > 0. && e <= 1.);
-  Alcotest.(check int) "critical rank" 1 (Trace.critical_rank stats)
+  (* rank 1 finishes last, so it has no idle tail; rank 0 does *)
+  Alcotest.(check (float 1e-9)) "rank1 not idle" 0. (idle s u.(1));
+  Alcotest.(check bool) "rank0 idle" true (idle s u.(0) > 0.)
 
 (* on a real traced run (SOR through the executor), every rank's
-   utilisation components must account for the whole schedule *)
+   time components must account for the whole schedule *)
 let test_traced_sor_utilisation () =
-  let module Trace = Tiles_mpisim.Trace in
   let module Plan = Tiles_core.Plan in
   let module Executor = Tiles_runtime.Executor in
   let p = Tiles_apps.Sor.make ~m_steps:12 ~size:16 in
@@ -208,33 +219,30 @@ let test_traced_sor_utilisation () =
     Executor.run ~mode:Executor.Timing ~trace:true ~plan
       ~kernel:(Tiles_apps.Sor.kernel p) ~net ()
   in
-  let stats = r.Executor.stats in
-  let u = Trace.utilisation stats in
-  Alcotest.(check bool) "several ranks" true (Array.length u > 1);
-  Array.iteri
-    (fun rank c ->
-      let sum =
-        c.Trace.compute +. c.Trace.pack +. c.Trace.send +. c.Trace.wait
-        +. c.Trace.unpack +. c.Trace.idle
-      in
+  let s = Trace.aggregate r.Executor.stats in
+  Alcotest.(check bool) "several ranks" true (Array.length s.Stats.ranks > 1);
+  Array.iter
+    (fun (c : Stats.rank) ->
+      let idle = idle s c in
+      let sum = c.compute +. c.pack +. c.send +. c.wait +. c.unpack +. idle in
       Alcotest.(check (float 1e-9))
-        (Printf.sprintf "rank %d components sum to completion" rank)
-        stats.Sim.completion sum;
+        (Printf.sprintf "rank %d components sum to completion" c.rank)
+        r.Executor.stats.Sim.completion sum;
       List.iter
         (fun (part, v) ->
-          if v < -.1e-12 then
-            Alcotest.failf "rank %d: negative %s time %.3e" rank part v)
+          if v < -1e-12 then
+            Alcotest.failf "rank %d: negative %s time %.3e" c.rank part v)
         [
-          ("compute", c.Trace.compute);
-          ("pack", c.Trace.pack);
-          ("send", c.Trace.send);
-          ("wait", c.Trace.wait);
-          ("unpack", c.Trace.unpack);
-          ("idle", c.Trace.idle);
+          ("compute", c.compute);
+          ("pack", c.pack);
+          ("send", c.send);
+          ("wait", c.wait);
+          ("unpack", c.unpack);
+          ("idle", idle);
         ])
-    u;
-  let e = Trace.efficiency stats in
-  Alcotest.(check bool) "efficiency in [0,1]" true (e >= 0. && e <= 1.)
+    s.Stats.ranks;
+  let e = compute_fraction s in
+  Alcotest.(check bool) "compute fraction in (0,1]" true (e > 0. && e <= 1.)
 
 let test_trace_off_by_default () =
   let stats = Sim.run ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.0) in

@@ -448,43 +448,6 @@ let test_shm_rejects_nonpositive_recv_timeout () =
   expect 0.;
   expect (-1.)
 
-(* ---------- Model ---------- *)
-
-let test_model_predicts () =
-  let nest = pascal_nest 40 40 in
-  let plan = Plan.make nest (Tiling.rectangular [ 5; 5 ]) in
-  let est = Tiles_runtime.Model.predict plan ~net in
-  Alcotest.(check bool) "total positive" true (est.Tiles_runtime.Model.total > 0.);
-  Alcotest.(check bool) "steps positive" true (est.Tiles_runtime.Model.steps > 0);
-  Alcotest.(check bool) "speedup positive" true
-    (est.Tiles_runtime.Model.predicted_speedup > 0.)
-
-let test_model_ranks_sor_tilings () =
-  (* the model must reproduce the paper's ordering: nonrect < rect in
-     predicted completion time (same factors) *)
-  let module Sor = Tiles_apps.Sor in
-  let p = Sor.make ~m_steps:48 ~size:48 in
-  let nest = Sor.nest p in
-  let predict tiling =
-    (Tiles_runtime.Model.predict (Plan.make ~m:2 nest tiling) ~net)
-      .Tiles_runtime.Model.total
-  in
-  Alcotest.(check bool) "nonrect predicted faster" true
-    (predict (Sor.nonrect ~x:24 ~y:16 ~z:8) < predict (Sor.rect ~x:24 ~y:16 ~z:8))
-
-let test_model_best_factor () =
-  let nest = pascal_nest 60 60 in
-  let mk f = Plan.make nest (Tiling.rectangular [ f; f ]) in
-  let f, est = Tiles_runtime.Model.best_factor mk ~factors:[ 2; 5; 10; 20 ] ~net in
-  Alcotest.(check bool) "feasible factor" true (List.mem f [ 2; 5; 10; 20 ]);
-  Alcotest.(check bool) "estimate sane" true (est.Tiles_runtime.Model.total > 0.);
-  Alcotest.check_raises "none feasible"
-    (Failure "Model.best_factor: no feasible factor") (fun () ->
-      ignore
-        (Tiles_runtime.Model.best_factor
-           (fun _ -> failwith "nope")
-           ~factors:[ 1 ] ~net))
-
 let () =
   Alcotest.run "tiles_runtime"
     [
@@ -521,11 +484,5 @@ let () =
             test_shm_overlap_matches_blocking;
           Alcotest.test_case "recv_timeout contract" `Quick
             test_shm_rejects_nonpositive_recv_timeout;
-        ] );
-      ( "model",
-        [
-          Alcotest.test_case "predicts" `Quick test_model_predicts;
-          Alcotest.test_case "ranks tilings" `Quick test_model_ranks_sor_tilings;
-          Alcotest.test_case "best factor" `Quick test_model_best_factor;
         ] );
     ]

@@ -16,6 +16,37 @@ module Tune = Tiles_tune.Tune
 
 let net = Netmodel.fast_ethernet_cluster
 
+(* ---------------- analytic model ---------------- *)
+
+let test_model_predicts () =
+  let nest =
+    Nest.make ~name:"pascal"
+      ~space:(Tiles_poly.Polyhedron.box [ (0, 39); (0, 39) ])
+      ~deps:(Tiles_loop.Dependence.of_vectors [ [| 1; 0 |]; [| 0; 1 |] ])
+  in
+  let plan = Plan.make nest (Tiling.rectangular [ 5; 5 ]) in
+  List.iter
+    (fun (est : Predictor.estimate) ->
+      let src = Predictor.source est in
+      Alcotest.(check bool) (src ^ ": total positive") true (est.total > 0.);
+      Alcotest.(check bool) (src ^ ": steps positive") true (est.steps > 0);
+      Alcotest.(check bool) (src ^ ": speedup positive") true
+        (est.predicted_speedup > 0.))
+    [ Predictor.predict plan ~net; Predictor.refine plan ~net ]
+
+let test_model_ranks_sor_tilings () =
+  (* both passes must reproduce the paper's ordering: nonrect < rect in
+     predicted completion time (same factors) *)
+  let module Sor = Tiles_apps.Sor in
+  let nest = Sor.nest (Sor.make ~m_steps:48 ~size:48) in
+  List.iter
+    (fun (pass, model) ->
+      let total tiling = (model (Plan.make ~m:2 nest tiling) ~net).Predictor.total in
+      Alcotest.(check bool) (pass ^ ": nonrect predicted faster") true
+        (total (Sor.nonrect ~x:24 ~y:16 ~z:8) < total (Sor.rect ~x:24 ~y:16 ~z:8)))
+    [ ("predict", Predictor.predict ?width:None);
+      ("refine", Predictor.refine ?width:None) ]
+
 (* ---------------- candidate generation ---------------- *)
 
 (* some swept factor combinations do not construct (non-integer P);
@@ -394,6 +425,11 @@ let test_cache_concurrent_stores () =
 let () =
   Alcotest.run "tiles_tune"
     [
+      ( "model",
+        [
+          Alcotest.test_case "predicts" `Quick test_model_predicts;
+          Alcotest.test_case "ranks tilings" `Quick test_model_ranks_sor_tilings;
+        ] );
       ( "candidate",
         [
           Alcotest.test_case "sor legal" `Quick test_candidates_legal_sor;
