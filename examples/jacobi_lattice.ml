@@ -38,7 +38,7 @@ let () =
       (Ttis.start_offset tiling 1 [| j1 |])
   done;
   Printf.printf "\nTTIS has %d lattice points = tile size %d (box %s)\n"
-    (Ttis.count tiling) (Tiling.tile_size tiling)
+    (List.length (Ttis.points tiling)) (Tiling.tile_size tiling)
     (Vec.to_string tiling.Tiling.v);
 
   let plan = Plan.make ~m:Jacobi.mapping_dim nest tiling in

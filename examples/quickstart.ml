@@ -51,7 +51,7 @@ let () =
     cells;
   Printf.printf "  strides c = %s; %d lattice points = tile size %d\n"
     (Tiles_util.Vec.to_string tiling.Tiling.c)
-    (Ttis.count tiling) (Tiling.tile_size tiling);
+    (List.length (Ttis.points tiling)) (Tiling.tile_size tiling);
 
   print_endline "\n== 4. the parallelisation plan (§3) ==";
   let plan = Plan.make nest tiling in

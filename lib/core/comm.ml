@@ -11,25 +11,28 @@ type t = {
   dm : (Vec.t * Vec.t list) list;
 }
 
-(* D^S by exact TTIS sweep: for j in the origin tile at local coordinates
-   j', iteration j + d lives in tile ⌊(j' + d')/V⌋ componentwise. *)
+(* D^S without sweeping the TTIS. For a TTIS point j' and 0 <= d'_k <= v_k,
+   iteration j + d lies in tile ⌊(j'_k + d'_k)/v_k⌋ ∈ {0, 1} along k, and
+   that is 1 iff j'_k >= v_k − d'_k. So a 0/1 vector d^S over the support
+   of d' occurs iff the TTIS has a point in the box putting each j'_k on
+   the side d^S_k names: one lattice-in-box query per candidate. *)
 let tile_deps (tiling : Tiling.t) d's =
-  let module S = Set.Make (struct
-    type t = int array
-
-    let compare = Vec.compare_lex
-  end) in
-  let acc = ref S.empty in
-  Ttis.iter tiling (fun j' ->
-      List.iter
-        (fun d' ->
-          let ds =
-            Array.init tiling.n (fun k ->
-                Ints.fdiv (j'.(k) + d'.(k)) tiling.v.(k))
+  let n = tiling.n and v = tiling.v in
+  let reached d' =
+    List.filter_map
+      (fun mask ->
+        let ds = Array.init n (fun k -> (mask lsr k) land 1) in
+        if Array.exists2 (fun b dk -> b = 1 && dk = 0) ds d' then None
+        else
+          let lo = Array.init n (fun k -> ds.(k) * (v.(k) - d'.(k))) in
+          let hi =
+            Array.init n (fun k ->
+                if ds.(k) = 1 then v.(k) - 1 else v.(k) - d'.(k) - 1)
           in
-          if not (Vec.is_zero ds) then acc := S.add ds !acc)
-        d's);
-  S.elements !acc
+          if Ttis.exists_in tiling ~lo ~hi then Some ds else None)
+      (List.init ((1 lsl n) - 1) succ)
+  in
+  List.sort_uniq Vec.compare_lex (List.concat_map reached d's)
 
 let make tiling deps ~m =
   let n = Tiling.dim tiling in
@@ -37,6 +40,8 @@ let make tiling deps ~m =
   if not (Tiling.legal_for tiling deps) then
     invalid_arg "Comm.make: tiling is illegal for these dependencies (H·d < 0)";
   let d' = Tiling.transformed_deps tiling deps in
+  if List.exists (Array.exists (fun x -> x < 0)) d' then
+    invalid_arg "Comm.make: a transformed dependence H'·d has a negative entry";
   let max_d' =
     Array.init n (fun k -> List.fold_left (fun acc v -> max acc v.(k)) 0 d')
   in
@@ -56,13 +61,6 @@ let make tiling deps ~m =
         else Ints.cdiv max_d'.(k) tiling.c.(k))
   in
   let ds = tile_deps tiling d' in
-  List.iter
-    (fun d ->
-      if Array.exists (fun x -> x < 0 || x > 1) d then
-        failwith
-          (Printf.sprintf "Comm.make: tile dependence %s outside {0,1}^n"
-             (Vec.to_string d)))
-    ds;
   let dm =
     let tbl = Hashtbl.create 8 in
     List.iter

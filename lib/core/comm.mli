@@ -7,10 +7,13 @@
       [j'_k >= cc_k];
     - the LDS halo offsets: [off_k = ⌈max_l d'_kl / c_k⌉] for [k ≠ m] and
       [off_m = v_mm / c_m];
-    - the tile dependence matrix [D^S] (computed exactly, by sweeping the
-      TTIS); every component must be 0 or 1 — i.e. the tile must be at
-      least as large as the dependencies it cuts — otherwise construction
-      fails with a clear error;
+    - the tile dependence matrix [D^S], computed exactly without visiting
+      the TTIS: with [0 <= d'_k <= v_kk], [d^S_k = 1] iff
+      [j'_k >= v_kk − d'_k], so each candidate 0/1 vector over the support
+      of a [d'] is one lattice-point-in-box query ({!Ttis.exists_in}). The
+      tile must be at least as large as the dependencies it cuts
+      ([max_l d'_kl <= v_kk]), otherwise construction fails with a clear
+      error;
     - the processor dependencies [D^m] ([D^S] projected along [m], zero
       vector dropped) with, for each [d^m], the list of tile dependencies
       that generate it (the paper's [d^S(d^m)]). *)

@@ -173,49 +173,187 @@ let active pb (tiling : Tiling.t) tile =
   done;
   !acc
 
+(* Lines bounding the innermost coordinate, x = (u·i + w)/d with d > 0,
+   as affine functions of the step index i of the level above: [n] of
+   them in struct-of-arrays form, sized once per count. *)
+type lines = { u : int array; w : int array; d : int array; mutable n : int }
+
+let lines cap =
+  { u = Array.make cap 0; w = Array.make cap 0; d = Array.make cap 0; n = 0 }
+
+(* Lattice points (x_{n-2}, x_{n-1}) satisfying [cs] once x_0..x_{n-3}
+   are fixed in [j'], in closed form. With x_{n-2} = start + c_{n-2}·i,
+   each constraint becomes a lower or an upper line of x_{n-1} in i, or a
+   bound on i itself; the lattice residue of x_{n-1} drifts as
+   (α + β·i) mod c_{n-1} with β = h'~_{n-1,n-2}. Between the integer
+   floors of the pairwise crossings of the lower lines (and of the upper
+   ones) one lower and one upper line are active; where the upper is at
+   least the lower, row i holds ⌊(U−r)/c⌋ − ⌊(L−1−r)/c⌋ points. The
+   nested floors fold into one floor of an affine function of i each and
+   the ⌊(α+βi)/c⌋ terms cancel, leaving two floor sums per piece.
+   [lo], [up] and [cuts] are work buffers. *)
+let count_last_two (tiling : Tiling.t) pb cs ~lo ~up ~cuts j' =
+  let module Lattice = Tiles_linalg.Lattice in
+  let module Ints = Tiles_util.Ints in
+  let ( +! ) = Ints.add_exn and ( *! ) = Ints.mul_exn in
+  let ( -! ) a b = a +! -b in
+  let n = tiling.n in
+  let k2 = n - 2 and k1 = n - 1 in
+  let c2 = tiling.c.(k2) and c1 = tiling.c.(k1) in
+  let residue = Lattice.first_in_residue tiling.lattice k2 j' in
+  let start = residue + (c2 * Ints.cdiv (pb.blo.(k2) - residue) c2) in
+  if start > pb.bhi.(k2) then 0
+  else begin
+    j'.(k2) <- start;
+    let alpha = Lattice.first_in_residue tiling.lattice k1 j' in
+    let beta = tiling.hnf.(k1).(k2) in
+    let ilo = ref 0 and ihi = ref ((pb.bhi.(k2) - start) / c2) in
+    let push l u w d =
+      l.u.(l.n) <- u;
+      l.w.(l.n) <- w;
+      l.d.(l.n) <- d;
+      l.n <- l.n + 1
+    in
+    lo.n <- 0;
+    up.n <- 0;
+    Array.iter
+      (fun cstr ->
+        let e = ref (Constr.const cstr) in
+        for k = 0 to k2 - 1 do
+          e := !e +! (Constr.coeff cstr k *! j'.(k))
+        done;
+        (* a·x_{n-1} + b·i + e >= 0 *)
+        let a = Constr.coeff cstr k1 and b = Constr.coeff cstr k2 *! c2 in
+        let e = !e +! (Constr.coeff cstr k2 *! start) in
+        if a > 0 then push lo (-b) (-e) a
+        else if a < 0 then push up b e (-a)
+        else if b > 0 then ilo := max !ilo (Ints.cdiv (-e) b)
+        else if b < 0 then ihi := min !ihi (Ints.fdiv e (-b))
+        else if e < 0 then ihi := -1)
+      cs;
+    (* the last i at which two lines keep their order from i → −∞,
+       inside [ilo, ihi), insertion-sorted *)
+    let ncuts = ref 0 in
+    let add_cuts l =
+      for p = 0 to l.n - 1 do
+        for q = 0 to l.n - 1 do
+          let dd = (l.u.(p) *! l.d.(q)) -! (l.u.(q) *! l.d.(p)) in
+          if dd > 0 then begin
+            let f =
+              Ints.fdiv ((l.w.(q) *! l.d.(p)) -! (l.w.(p) *! l.d.(q))) dd
+            in
+            if f >= !ilo && f < !ihi then begin
+              let j = ref !ncuts in
+              while !j > 0 && cuts.(!j - 1) > f do
+                cuts.(!j) <- cuts.(!j - 1);
+                decr j
+              done;
+              cuts.(!j) <- f;
+              incr ncuts
+            end
+          end
+        done
+      done
+    in
+    add_cuts lo;
+    add_cuts up;
+    (* the line of [l] that [better] prefers at i, its values compared
+       across denominators exactly *)
+    let pick l i better =
+      let best = ref 0 in
+      for p = 1 to l.n - 1 do
+        let vp = ((l.u.(p) *! i) +! l.w.(p)) *! l.d.(!best)
+        and vb = ((l.u.(!best) *! i) +! l.w.(!best)) *! l.d.(p) in
+        if better vp vb then best := p
+      done;
+      !best
+    in
+    (* Σ ⌊(u·i + w − δ − d·(α + β·i))/(d·c1)⌋ over i ∈ [a1, b1] *)
+    let sum l p delta a1 b1 =
+      let u = l.u.(p) and d = l.d.(p) in
+      let slope = u -! (d *! beta) in
+      let const = l.w.(p) -! delta -! (d *! alpha) in
+      Ints.floor_sum ~n:(b1 - a1 + 1) ~m:(d *! c1) ~a:slope
+        ~b:((slope *! a1) +! const)
+    in
+    let piece a0 b0 =
+      let pl = pick lo a0 ( > ) and pu = pick up a0 ( < ) in
+      (* upper >= lower ⟺ i·(U·dl − L·du) >= wl·du − wu·dl *)
+      let dd = (up.u.(pu) *! lo.d.(pl)) -! (lo.u.(pl) *! up.d.(pu)) in
+      let e = (lo.w.(pl) *! up.d.(pu)) -! (up.w.(pu) *! lo.d.(pl)) in
+      let a1, b1 =
+        if dd > 0 then (max a0 (Ints.cdiv e dd), b0)
+        else if dd < 0 then (a0, min b0 (Ints.fdiv e dd))
+        else if e <= 0 then (a0, b0)
+        else (a0, a0 - 1)
+      in
+      if a1 > b1 then 0 else sum up pu 0 a1 b1 -! sum lo pl 1 a1 b1
+    in
+    if !ilo > !ihi then 0
+    else begin
+      (* the slab box bounds x_{n-1} on both sides *)
+      assert (lo.n > 0 && up.n > 0);
+      let total = ref 0 and a0 = ref !ilo in
+      for c = 0 to !ncuts - 1 do
+        if cuts.(c) >= !a0 then begin
+          total := !total +! piece !a0 cuts.(c);
+          a0 := cuts.(c) + 1
+        end
+      done;
+      !total +! piece !a0 !ihi
+    end
+  end
+
 (* Lattice points of the slab box satisfying the given pulled constraints:
-   project with Fourier–Motzkin and enumerate only the outer n-1
-   dimensions (stride-aligned); the innermost dimension contributes an
-   arithmetic range count. Exact because the innermost level uses the
-   original (unprojected) constraints. *)
+   project with Fourier–Motzkin and walk the outer n-2 dimensions
+   (stride-aligned) on the projected bounds, which keep them inside the
+   slab box; the last two levels are counted in closed form on the
+   original constraints (the active ones and x_{n-1}'s box), so the count
+   is exact. *)
 let count_clipped t pb act =
   let module FM = Tiles_poly.Fourier_motzkin in
   let module Lattice = Tiles_linalg.Lattice in
   let module Ints = Tiles_util.Ints in
   let tiling = t.tiling in
   let n = tiling.Tiling.n in
-  let box =
-    List.concat
-      (List.init n (fun k ->
-           [
-             Constr.lower_bound_var n k pb.blo.(k);
-             Constr.upper_bound_var n k pb.bhi.(k);
-           ]))
+  let box k =
+    [
+      Constr.lower_bound_var n k pb.blo.(k);
+      Constr.upper_bound_var n k pb.bhi.(k);
+    ]
   in
-  let sys =
-    List.map (fun (i, const) -> Constr.make ~coeffs:pb.w.(i) ~const) act @ box
+  let act =
+    List.map (fun (i, const) -> Constr.make ~coeffs:pb.w.(i) ~const) act
   in
-  let proj = FM.project sys ~dim:n in
+  (* read only by the outer walk, which 2-D slabs skip *)
+  let proj =
+    lazy (FM.project (act @ List.concat_map box (List.init n Fun.id)) ~dim:n)
+  in
+  let tail = Array.of_list (act @ box (n - 1)) in
+  let cap = Array.length tail in
+  let lo = lines cap and up = lines cap and cuts = Array.make (cap * cap) 0 in
   let j' = Array.make n 0 in
   let rec go k acc =
-    match FM.bounds proj ~var:k ~prefix:j' with
-    | None -> acc
-    | Some (blo, bhi) ->
-      let residue = Lattice.first_in_residue tiling.Tiling.lattice k j' in
-      let c = tiling.Tiling.c.(k) in
-      let start = residue + (c * Ints.cdiv (blo - residue) c) in
-      if start > bhi then acc
-      else if k = n - 1 then acc + (((bhi - start) / c) + 1)
-      else begin
-        let acc = ref acc in
-        let x = ref start in
-        while !x <= bhi do
-          j'.(k) <- !x;
-          acc := go (k + 1) !acc;
-          x := !x + c
-        done;
-        !acc
-      end
+    if k = n - 2 then acc + count_last_two tiling pb tail ~lo ~up ~cuts j'
+    else
+      match FM.bounds (Lazy.force proj) ~var:k ~prefix:j' with
+      | None -> acc
+      | Some (blo, bhi) ->
+        let residue = Lattice.first_in_residue tiling.Tiling.lattice k j' in
+        let c = tiling.Tiling.c.(k) in
+        let start = residue + (c * Ints.cdiv (blo - residue) c) in
+        if start > bhi then acc
+        else if k = n - 1 then acc + (((bhi - start) / c) + 1)
+        else begin
+          let acc = ref acc in
+          let x = ref start in
+          while !x <= bhi do
+            j'.(k) <- !x;
+            acc := go (k + 1) !acc;
+            x := !x + c
+          done;
+          !acc
+        end
   in
   go 0 0
 

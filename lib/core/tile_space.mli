@@ -58,14 +58,24 @@ val slab_points : t -> tile:Tiles_util.Vec.t -> lo:int array -> int
     {e active} when it fails somewhere in the slab box
     [[max 0 lo_k, v_kk − 1]] (an exact integer test). With no active
     constraint the tile is interior and the count is the unclipped
-    {!Ttis.count_from}; otherwise the active constraints are projected
-    with Fourier–Motzkin and counted row by row. *)
+    {!Ttis.count_from}. Otherwise (for [n > 2]) the active constraints
+    are projected with Fourier–Motzkin, the outer [n − 2] levels are
+    walked on the projected bounds, and the last two levels are counted in closed form
+    per outer prefix: with [x_(n-2) = start + c_(n-2)·i], each constraint
+    is a lower or upper line of [x_(n-1)] in [i]; between the crossings
+    of those lines one lower and one upper line are active, and the
+    points of the lattice residue [(α + β·i) mod c_(n-1)] between them
+    sum to two {!Tiles_util.Ints.floor_sum}s per piece. No row is
+    visited; an out-of-range tiling raises [Tiles_util.Ints.Overflow]
+    rather than return a wrong count. *)
 
 val slab_counter : t -> lo:int array -> Tiles_util.Vec.t -> int
 (** [slab_counter t ~lo] is [fun tile -> slab_points t ~tile ~lo], with
     the tile-independent work done once: the pullback, the interior
     count, and a memo of the clipped counts keyed by the active
     constraints' (index, constant) pairs — tiles clipped by the same
-    faces at the same offsets share one count. Build it once per slab
+    faces at the same offsets share one count. A miss costs one
+    projection plus one closed-form count per outer [(n − 2)]-level
+    prefix (one per tile row of [x_0] in 3-D). Build it once per slab
     origin and share it; it is safe to call from several domains at
     once (the memo is guarded by a mutex). *)

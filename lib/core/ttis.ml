@@ -23,11 +23,6 @@ let points t =
   iter t (fun j' -> acc := Vec.copy j' :: !acc);
   List.rev !acc
 
-let count t =
-  let n = ref 0 in
-  iter t (fun _ -> incr n);
-  !n
-
 let mem (t : Tiling.t) j' =
   Array.length j' = t.n
   && Array.for_all2 (fun x vk -> x >= 0 && x < vk) j' t.v
@@ -120,6 +115,37 @@ let count_from (t : Tiling.t) ~lo =
     end
   in
   go 0 0
+
+(* [count_from]'s walk with an upper corner, stopping at the first point.
+   index·Zⁿ ⊆ L, so moving x_k by the lattice index changes none of the
+   deeper residues: the sub-box answer at x_k + index is the one at x_k,
+   and each level need only try the values of one such period. *)
+let exists_in (t : Tiling.t) ~lo ~hi =
+  let n = t.n in
+  if Array.length lo <> n || Array.length hi <> n then
+    invalid_arg "Ttis.exists_in: dimension";
+  let index = Lattice.index t.lattice in
+  let j' = Array.make n 0 in
+  let rec go k =
+    let residue = Lattice.first_in_residue t.lattice k j' in
+    let lb = max 0 lo.(k) and ub = min (t.v.(k) - 1) hi.(k) in
+    let start =
+      residue + (t.c.(k) * Tiles_util.Ints.cdiv (lb - residue) t.c.(k))
+    in
+    if start > ub then false
+    else if k = n - 1 then true
+    else
+      let stop = if ub - start >= index then start + index - 1 else ub in
+      let rec scan x =
+        x <= stop
+        && begin
+          j'.(k) <- x;
+          go (k + 1) || scan (x + t.c.(k))
+        end
+      in
+      scan start
+  in
+  go 0
 
 let iter_bruteforce (t : Tiling.t) f =
   let n = t.n in

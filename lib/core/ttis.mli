@@ -14,10 +14,6 @@ val iter : Tiling.t -> (Tiles_util.Vec.t -> unit) -> unit
 val points : Tiling.t -> Tiles_util.Vec.t list
 (** Materialised, copied. *)
 
-val count : Tiling.t -> int
-(** Number of points by actual enumeration (tests check it equals
-    [Tiling.tile_size]). *)
-
 val mem : Tiling.t -> Tiles_util.Vec.t -> bool
 (** Is [j'] a TTIS point (on the lattice and inside the box)? *)
 
@@ -39,6 +35,14 @@ val iter_from : Tiling.t -> lo:int array -> (Tiles_util.Vec.t -> unit) -> unit
     communication slabs of §3.2: [lo.(k) = d_k·cc_k]. *)
 
 val count_from : Tiling.t -> lo:int array -> int
+(** Number of points {!iter_from} visits; the innermost level is counted
+    arithmetically. [count_from t ~lo:(Array.make n 0)] is the tile size. *)
+
+val exists_in : Tiling.t -> lo:int array -> hi:int array -> bool
+(** Does the TTIS have a point [j'] with [lo <= j' <= hi] componentwise?
+    Early-exit residue walk: each level tries at most
+    [Lattice.index / c_k] values, so the cost is bounded by the lattice,
+    not by the tile extents [v]. *)
 
 val iter_bruteforce : Tiling.t -> (Tiles_util.Vec.t -> unit) -> unit
 (** Reference implementation: scan the whole box and filter by lattice

@@ -12,8 +12,8 @@
 
     Enumeration happens row-wise: the space constraints are pulled back
     onto TTIS coordinates (tile-dependent constants only), projected
-    with Fourier–Motzkin, and walked with residue-aligned strides
-    exactly as {!Tiles_core.Tile_space.slab_points} counts them — the innermost
+    with Fourier–Motzkin, and walked with residue-aligned strides (the
+    pullback {!Tiles_core.Tile_space.slab_points} counts from) — the innermost
     level of the projection chain is the original system, so every
     aligned point of a row is a member and rows need no per-point
     membership test. The enumeration order is lexicographic ascending,

@@ -16,6 +16,13 @@ val fmod : int -> int -> int
 val cdiv : int -> int -> int
 (** [cdiv a b] is the ceiling of the rational [a/b]. *)
 
+val floor_sum : n:int -> m:int -> a:int -> b:int -> int
+(** [floor_sum ~n ~m ~a ~b] is [Σ_{i=0}^{n-1} ⌊(a·i + b)/m⌋] for
+    [n >= 0] and [m > 0] (any signs of [a] and [b]), in
+    [O(log m + log a)] steps — the lattice points under a line, counted
+    without visiting them. Raises [Overflow] rather than return a wrapped
+    sum, and [Invalid_argument] on [n < 0] or [m <= 0]. *)
+
 val gcd : int -> int -> int
 (** Greatest common divisor, always non-negative; [gcd 0 0 = 0]. *)
 

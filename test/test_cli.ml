@@ -38,6 +38,24 @@ let test_plan () =
   check_ok "plan --app sor -M 12 -N 16 --variant nonrect -x 6 -y 7 -z 4"
     [ "plan for sor"; "tile size"; "CC vector"; "D^S"; "processors" ]
 
+(* D^S comes from lattice box queries, not a sweep of the tile: a tile a
+   billion points long plans at once, with the D^S and D^m of a short one *)
+let test_plan_huge_tile () =
+  let deps x =
+    let status, out =
+      run
+        (Printf.sprintf
+           "plan --app sor -M 12 -N 16 --variant nonrect -x %d -y 7 -z 4" x)
+    in
+    if status <> Unix.WEXITED 0 then Alcotest.failf "tilec plan -x %d:\n%s" x out;
+    List.filter
+      (fun l -> contains l "D^S" || contains l "D^m")
+      (String.split_on_char '\n' out)
+  in
+  let short = deps 10 in
+  Alcotest.(check int) "two dependence lines" 2 (List.length short);
+  Alcotest.(check (list string)) "same D^S/D^m" short (deps 1_000_000_000)
+
 let test_cone () =
   check_ok "cone --app adi" [ "tiling cone extreme rays"; "(1, -1, -1)" ]
 
@@ -509,6 +527,7 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "plan" `Quick test_plan;
+          Alcotest.test_case "plan huge tile" `Quick test_plan_huge_tile;
           Alcotest.test_case "cone" `Quick test_cone;
           Alcotest.test_case "simulate --full" `Quick test_simulate;
           Alcotest.test_case "emit-mpi" `Quick test_emit;

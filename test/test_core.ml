@@ -40,6 +40,12 @@ let adi_nr3 x y z =
 let oblique2d =
   Tiling.of_rows [ [ r 1 2; r (-1) 4 ]; [ i 0; r 1 4 ] ]
 
+(* oblique2d's lattice in the last two of three dimensions: c = (1,1,2)
+   and h'~_21 = 1, so the residue of x_2 drifts as x_1 steps *)
+let oblique3d =
+  Tiling.of_rows
+    [ [ r 1 3; i 0; i 0 ]; [ i 0; r 1 2; r (-1) 4 ]; [ i 0; i 0; r 1 4 ] ]
+
 let skewed_sor_deps =
   Dependence.of_vectors
     [ [| 1; 1; 2 |]; [| 0; 1; 0 |]; [| 1; 0; 2 |]; [| 1; 1; 1 |]; [| 0; 0; 1 |] ]
@@ -140,9 +146,14 @@ let all_tilings =
 let test_ttis_count () =
   List.iter
     (fun (name, t) ->
+      let brute = ref 0 in
+      Ttis.iter_bruteforce t (fun _ -> incr brute);
+      Alcotest.(check int) (name ^ " enumeration = tile size")
+        (Tiling.tile_size t) !brute;
       Alcotest.(check int)
         (name ^ " count = tile size")
-        (Tiling.tile_size t) (Ttis.count t))
+        (Tiling.tile_size t)
+        (Ttis.count_from t ~lo:(Array.make (Tiling.dim t) 0)))
     all_tilings
 
 let test_ttis_matches_bruteforce () =
@@ -235,9 +246,30 @@ let test_partition_adi () = check_partition "adi" (adi_space 5 7) (adi_nr3 3 2 4
 let test_partition_oblique2d () =
   check_partition "oblique2d" (Polyhedron.box [ (0, 9); (0, 11) ]) oblique2d
 
-let test_slab_points_fast_count () =
-  (* the arithmetic (FM + range-count) path must agree with brute-force
-     enumeration for every candidate tile and several slab bounds *)
+(* boxes cut by two oblique half-spaces *)
+let cut2d =
+  let open Tiles_poly.Constr in
+  Polyhedron.make ~dim:2
+    [
+      lower_bound_var 2 0 0; upper_bound_var 2 0 13;
+      lower_bound_var 2 1 0; upper_bound_var 2 1 15;
+      le [| 2; 3 |] 40; ge [| -1; 3 |] (-8);
+    ]
+
+let cut3d =
+  let open Tiles_poly.Constr in
+  Polyhedron.make ~dim:3
+    [
+      lower_bound_var 3 0 0; upper_bound_var 3 0 7;
+      lower_bound_var 3 1 0; upper_bound_var 3 1 9;
+      lower_bound_var 3 2 0; upper_bound_var 3 2 11;
+      le [| 1; 2; 3 |] 36; ge [| 2; -1; 2 |] (-3);
+    ]
+
+(* the arithmetic path (FM walk + closed-form last two levels) must agree
+   with brute-force enumeration for every candidate tile and several slab
+   bounds *)
+let check_slab_counts cases =
   List.iter
     (fun (name, space, tiling) ->
       let ts = Tile_space.make space tiling in
@@ -260,12 +292,31 @@ let test_slab_points_fast_count () =
               Array.init n (fun k -> tiling.Tiling.v.(k) / 2);
             ])
         (Tile_space.candidates ts))
+    cases
+
+let test_slab_points_fast_count () =
+  check_slab_counts
     [
       ("sor", sor_space 4 6, sor_nr 2 3 4);
       ("jacobi", adi_space 5 8, jacobi_nr 3 4 2);
       ("adi", adi_space 5 7, adi_nr3 3 2 4);
       ("oblique2d", Polyhedron.box [ (0, 9); (0, 11) ], oblique2d);
     ]
+
+(* the residue-drift case of the closed form: a stride c_{n-1} > 1 with a
+   non-zero h'~_{n-1,n-2}, under oblique faces that cross inside tiles *)
+let test_slab_points_residue_drift () =
+  List.iter
+    (fun (name, t) ->
+      let n = Tiling.dim t in
+      Alcotest.(check bool) (name ^ " c_{n-1} > 1") true (t.Tiling.c.(n - 1) > 1);
+      Alcotest.(check bool)
+        (name ^ " h'~_{n-1,n-2} <> 0")
+        true
+        (t.Tiling.hnf.(n - 1).(n - 2) <> 0))
+    [ ("oblique2d", oblique2d); ("oblique3d", oblique3d) ];
+  check_slab_counts
+    [ ("oblique2d cut", cut2d, oblique2d); ("oblique3d cut", cut3d, oblique3d) ]
 
 let test_slab_counter_domains () =
   (* two domains hammer the same memoised counters; every answer must be
@@ -647,6 +698,8 @@ let () =
           Alcotest.test_case "partition adi" `Quick test_partition_adi;
           Alcotest.test_case "partition oblique2d" `Quick test_partition_oblique2d;
           Alcotest.test_case "slab fast count" `Quick test_slab_points_fast_count;
+          Alcotest.test_case "slab count residue drift" `Quick
+            test_slab_points_residue_drift;
           Alcotest.test_case "slab counter across domains" `Quick test_slab_counter_domains;
           Alcotest.test_case "tile points lex+inside" `Quick test_tile_points_lex_and_inside;
         ] );

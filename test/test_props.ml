@@ -26,9 +26,8 @@ let net = Netmodel.fast_ethernet_cluster
 (* A tiling is H = diag(1/v)·H' for a random non-singular integer H' and
    random extents v; construction may fail (singular, stride
    divisibility), in which case we retry. *)
-let gen_tiling n =
+let gen_tiling ?(entry = QCheck.Gen.int_range (-2) 3) n =
   QCheck.Gen.(
-    let entry = int_range (-2) 3 in
     let rec go attempts =
       if attempts = 0 then return None
       else
@@ -45,20 +44,22 @@ let gen_tiling n =
     in
     go 50)
 
-let arb_tiling n =
-  QCheck.make
-    ~print:(fun t ->
-      match t with
-      | Some t -> Tiles_linalg.Ratmat.to_string t.Tiling.h
-      | None -> "<none>")
-    (gen_tiling n)
+let print_tiling = function
+  | Some t -> Tiles_linalg.Ratmat.to_string t.Tiling.h
+  | None -> "<none>"
+
+let arb_tiling n = QCheck.make ~print:print_tiling (gen_tiling n)
 
 let prop_count n =
   QCheck.Test.make ~name:(Printf.sprintf "TTIS count = tile size (n=%d)" n)
     ~count:100 (arb_tiling n) (fun t ->
       match t with
       | None -> QCheck.assume_fail ()
-      | Some t -> Ttis.count t = Tiling.tile_size t)
+      | Some t ->
+        let brute = ref 0 in
+        Ttis.iter_bruteforce t (fun _ -> incr brute);
+        !brute = Tiling.tile_size t
+        && Ttis.count_from t ~lo:(Array.make n 0) = !brute)
 
 let prop_enumerations_agree n =
   QCheck.Test.make
@@ -112,23 +113,49 @@ let prop_partition n =
    for every candidate tile and slab origin: zero, the box middle, and
    every slab origin of the plan's communication when the random
    dependences admit one; tiles are visited in shuffled order, twice, so
-   memo hits are checked too *)
-let prop_slab_count_fast n =
+   memo hits are checked too. With [~cut] the box is cut by a random
+   half-space through (near) its centre, so the pulled-back faces are
+   oblique and cross inside tiles. *)
+let prop_slab_count_fast ~cut n =
   QCheck.Test.make
-    ~name:(Printf.sprintf "fast slab count = enumeration (n=%d)" n)
+    ~name:
+      (Printf.sprintf "fast slab count = enumeration%s (n=%d)"
+         (if cut then ", cut box" else "")
+         n)
     ~count:25
-    (QCheck.triple (arb_tiling n)
-       (QCheck.make QCheck.Gen.(list_repeat n (int_range 3 9)))
+    (QCheck.triple
+       (QCheck.make ~print:print_tiling
+          (* Tile_space.make's Fourier–Motzkin projection keeps redundant
+             constraints, and on dense 3-D H' over a cut box it exhausts
+             memory; entries in [-1, 1] still give oblique faces and
+             non-unit strides *)
+          (if cut && n > 2 then gen_tiling ~entry:(QCheck.Gen.int_range (-1) 1) n
+           else gen_tiling n))
+       (QCheck.make
+          QCheck.Gen.(
+            pair
+              (list_repeat n (int_range 3 9))
+              (if cut then
+                 pair (array_size (return n) (int_range (-3) 3)) (int_range (-4) 4)
+               else return (Array.make n 0, 0))))
        (QCheck.make
           QCheck.Gen.(
             pair
               (list_size (int_range 1 3) (array_size (return n) (int_range 0 1)))
               int)))
-    (fun (t, extents, (vecs, seed)) ->
+    (fun (t, (extents, (cut, offset)), (vecs, seed)) ->
       match t with
       | None -> QCheck.assume_fail ()
       | Some t ->
-        let space = Polyhedron.box (List.map (fun e -> (0, e)) extents) in
+        let box = Polyhedron.box (List.map (fun e -> (0, e)) extents) in
+        let space =
+          if Vec.is_zero cut then box
+          else
+            let centre =
+              List.fold_left ( + ) 0 (List.mapi (fun k e -> cut.(k) * e / 2) extents)
+            in
+            Polyhedron.add box (Constr.make ~coeffs:cut ~const:(offset - centre))
+        in
         let ts = Tile_space.make space t in
         (* the random dependences this tiling is legal for, and the slab
            origins of every mapping dimension Comm accepts them on *)
@@ -176,6 +203,69 @@ let prop_slab_count_fast n =
                 && !brute = counter s)
               (shuffled () @ shuffled ()))
           los)
+
+(* The TTIS sweep Comm.make once ran, kept as the oracle of its box
+   queries: for every TTIS point j' and d' ∈ D', the tile ⌊(j' + d')/V⌋
+   componentwise, zero dropped. *)
+let ds_by_sweep (t : Tiling.t) d's =
+  let acc = ref [] in
+  Ttis.iter t (fun j' ->
+      List.iter
+        (fun d' ->
+          let ds =
+            Array.init t.Tiling.n (fun k ->
+                Tiles_util.Ints.fdiv (j'.(k) + d'.(k)) t.Tiling.v.(k))
+          in
+          if not (Vec.is_zero ds) then acc := ds :: !acc)
+        d's);
+  List.sort_uniq Vec.compare_lex !acc
+
+(* D^m and each d^S(d^m) from D^S, as §3.2 defines them *)
+let dm_of_ds ~m ds =
+  List.filter_map
+    (fun d ->
+      let dm = Vec.remove d m in
+      if Vec.is_zero dm then None else Some dm)
+    ds
+  |> List.sort_uniq Vec.compare_lex
+  |> List.map (fun dm ->
+         (dm, List.filter (fun d -> Vec.equal (Vec.remove d m) dm) ds))
+
+(* Comm.make's D^S and D^m = the sweep's, for every mapping dimension, on
+   random legal tilings (non-unit strides included) and dependence sets;
+   Comm.make refuses exactly the sets some d'_k > v_k of which crosses
+   more than one tile *)
+let prop_tile_deps n =
+  QCheck.Test.make ~name:(Printf.sprintf "D^S = TTIS sweep (n=%d)" n)
+    ~count:100
+    (QCheck.pair (arb_tiling n)
+       (QCheck.make
+          QCheck.Gen.(
+            list_size (int_range 1 5) (array_size (return n) (int_range (-1) 2)))))
+    (fun (t, vecs) ->
+      match t with
+      | None -> QCheck.assume_fail ()
+      | Some t -> (
+        let legal d =
+          (not (Vec.is_zero d)) && Tiling.legal_for t (Dependence.of_vectors [ d ])
+        in
+        match List.filter legal vecs with
+        | [] -> QCheck.assume_fail ()
+        | vecs ->
+          let deps = Dependence.of_vectors vecs in
+          let d's = Tiling.transformed_deps t deps in
+          let fits =
+            List.for_all
+              (fun d' -> Array.for_all2 (fun x v -> x <= v) d' t.Tiling.v)
+              d's
+          in
+          let ds = if fits then ds_by_sweep t d's else [] in
+          List.for_all
+            (fun m ->
+              match Comm.make t deps ~m with
+              | comm -> fits && comm.Comm.ds = ds && comm.Comm.dm = dm_of_ds ~m ds
+              | exception Invalid_argument _ -> not fits)
+            (List.init n Fun.id)))
 
 (* row-arithmetic counting = enumeration = brute force over the box, on
    random polyhedra of dimension 1–3: a box (empty when some lo > hi)
@@ -373,8 +463,10 @@ let () =
       ( "tile-space",
         [
           q (prop_partition 2); q (prop_partition 3);
-          q (prop_slab_count_fast 2); q (prop_slab_count_fast 3);
+          q (prop_slab_count_fast ~cut:false 2); q (prop_slab_count_fast ~cut:false 3);
+          q (prop_slab_count_fast ~cut:true 2); q (prop_slab_count_fast ~cut:true 3);
         ] );
+      ("comm", [ q (prop_tile_deps 2); q (prop_tile_deps 3) ]);
       ("polyhedron", [ q prop_count_points ]);
       ("plan", [ q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3) ]);
       ( "executor",

@@ -38,6 +38,8 @@ let test_gcd_lcm () =
 let test_overflow () =
   Alcotest.check_raises "mul overflow" Ints.Overflow (fun () ->
       ignore (Ints.mul_exn max_int 2));
+  Alcotest.check_raises "mul min_int by -1" Ints.Overflow (fun () ->
+      ignore (Ints.mul_exn min_int (-1)));
   Alcotest.check_raises "add overflow" Ints.Overflow (fun () ->
       ignore (Ints.add_exn max_int 1));
   check_int "mul ok" 6 (Ints.mul_exn 2 3);
@@ -69,6 +71,35 @@ let prop_gcd_divides =
       let g = Ints.gcd a b in
       if a = 0 && b = 0 then g = 0
       else g > 0 && a mod g = 0 && b mod g = 0)
+
+let floor_sum_brute ~n ~m ~a ~b =
+  let acc = ref 0 in
+  for i = 0 to n - 1 do
+    acc := !acc + Ints.fdiv ((a * i) + b) m
+  done;
+  !acc
+
+let test_floor_sum () =
+  check_int "n = 0" 0 (Ints.floor_sum ~n:0 ~m:7 ~a:(-5) ~b:(-3));
+  check_int "single term" (-2) (Ints.floor_sum ~n:1 ~m:3 ~a:9 ~b:(-4));
+  check_int "negative a and b" (floor_sum_brute ~n:11 ~m:4 ~a:(-7) ~b:(-13))
+    (Ints.floor_sum ~n:11 ~m:4 ~a:(-7) ~b:(-13));
+  (* Σ_{i<10^6} ⌊i/1⌋ fits; the same sum with slope 2^40 does not *)
+  check_int "large n" 499999500000 (Ints.floor_sum ~n:1_000_000 ~m:1 ~a:1 ~b:0);
+  Alcotest.check_raises "overflow" Ints.Overflow (fun () ->
+      ignore (Ints.floor_sum ~n:(1 lsl 30) ~m:3 ~a:(1 lsl 40) ~b:0));
+  Alcotest.check_raises "negative b overflow" Ints.Overflow (fun () ->
+      ignore (Ints.floor_sum ~n:(1 lsl 40) ~m:1 ~a:0 ~b:(-(1 lsl 40))));
+  Alcotest.check_raises "bad m" (Invalid_argument "Ints.floor_sum: need m > 0")
+    (fun () -> ignore (Ints.floor_sum ~n:3 ~m:0 ~a:1 ~b:1))
+
+let prop_floor_sum =
+  QCheck.Test.make ~name:"floor_sum = brute force" ~count:2000
+    QCheck.(
+      quad (int_range 0 40) (int_range 1 30) (int_range (-100) 100)
+        (int_range (-1000) 1000))
+    (fun (n, m, a, b) ->
+      Ints.floor_sum ~n ~m ~a ~b = floor_sum_brute ~n ~m ~a ~b)
 
 (* ---------- Vec ---------- *)
 
@@ -378,7 +409,9 @@ let () =
           Alcotest.test_case "overflow" `Quick test_overflow;
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "divisors" `Quick test_divisors;
+          Alcotest.test_case "floor_sum" `Quick test_floor_sum;
           q prop_fdiv_fmod;
+          q prop_floor_sum;
           q prop_gcd_divides;
         ] );
       ( "vec",
